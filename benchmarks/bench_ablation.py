@@ -14,7 +14,7 @@ Not a paper figure, but the paper motivates each parameter in prose:
 import numpy as np
 import pytest
 
-from repro import COOMatrix, SystemConfig, atmult, build_at_matrix
+from repro import COOMatrix, MultiplyOptions, SystemConfig, atmult, build_at_matrix
 from repro.bench import format_table
 from repro.core.retile import align_to_operand
 
@@ -36,7 +36,7 @@ def test_granularity(benchmark, matrices, collector, k):
     at = build_at_matrix(staged, config)
 
     (result, _), seconds = bench_once(
-        benchmark, lambda: atmult(at, at, config=config)
+        benchmark, lambda: atmult(at, at, options=MultiplyOptions(config=config))
     )
     _GRANULARITY[k] = (seconds, at.num_tiles())
     collector.record("ablation", f"k={k}", KEY, seconds)
@@ -49,7 +49,7 @@ def test_read_threshold(benchmark, matrices, collector, threshold):
     staged = matrices.staged(KEY)
     at = build_at_matrix(staged, BENCH_CONFIG, read_threshold=threshold)
     (result, report), seconds = bench_once(
-        benchmark, lambda: atmult(at, at, config=BENCH_CONFIG)
+        benchmark, lambda: atmult(at, at, options=MultiplyOptions(config=BENCH_CONFIG))
     )
     _THRESHOLD[threshold] = (seconds, report.conversions)
     collector.record("ablation", f"rho0_R={threshold}", KEY, seconds)
@@ -73,7 +73,7 @@ def hypersparse_case(matrices):
 def test_retile_off(benchmark, hypersparse_case, collector):
     a, b = hypersparse_case
     (result, _), seconds = bench_once(
-        benchmark, lambda: atmult(a, b, config=BENCH_CONFIG)
+        benchmark, lambda: atmult(a, b, options=MultiplyOptions(config=BENCH_CONFIG))
     )
     _RETILE["without re-tiling"] = seconds
     collector.record("ablation", "retile_off", HYPERSPARSE_KEY, seconds)
@@ -85,7 +85,7 @@ def test_retile_on(benchmark, hypersparse_case, collector):
     aligned = align_to_operand(a, b)
 
     (result, _), seconds = bench_once(
-        benchmark, lambda: atmult(aligned, b, config=BENCH_CONFIG)
+        benchmark, lambda: atmult(aligned, b, options=MultiplyOptions(config=BENCH_CONFIG))
     )
     _RETILE["with re-tiling"] = seconds
     collector.record("ablation", "retile_on", HYPERSPARSE_KEY, seconds)

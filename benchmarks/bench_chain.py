@@ -10,7 +10,7 @@ estimation and per-hop plan construction on every call.  This bench
 quantifies that on two workloads:
 
 * a **repeated 4-matrix chain** — cache-less ``multiply_chain`` (the
-  legacy barrier-per-hop loop, re-planning every run) versus warm
+  barrier-per-hop cold path, re-planning every run) versus warm
   :meth:`repro.Session.multiply_chain` replays of one fused plan, and
 * a **conjugate-gradient solve** through a Session, which must pin one
   fused matvec plan after a single cache hit and replay it for every
@@ -96,7 +96,7 @@ def build_solver_system() -> tuple[object, np.ndarray, int]:
 
 
 def run_unfused(operands) -> float:
-    """CHAIN_RUNS cache-less chain products: legacy per-hop re-planning."""
+    """CHAIN_RUNS cache-less chain products: cold per-hop re-planning."""
     options = MultiplyOptions(config=CONFIG)
     start = time.perf_counter()
     for _ in range(CHAIN_RUNS):
@@ -117,8 +117,8 @@ def run_fused(operands, session: Session) -> float:
 def run_pinned_solve(matrix, rhs) -> tuple[dict, int]:
     """One fixed-iteration CG solve through a fresh Session."""
     session = Session(config=CONFIG)
-    outcome = session.conjugate_gradient(
-        matrix, rhs, tolerance=0.0, max_iterations=SOLVER_ITERATIONS
+    outcome = session.solve(
+        matrix, rhs, method="cg", tolerance=0.0, max_iterations=SOLVER_ITERATIONS
     )
     assert outcome.iterations == SOLVER_ITERATIONS
     stats = session.cache_stats()

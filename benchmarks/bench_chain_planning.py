@@ -52,8 +52,8 @@ def chain(matrices):
 
 def test_naive_left_to_right(benchmark, chain, collector):
     def run():
-        ab, _ = atmult(chain[0], chain[1], config=BENCH_CONFIG)
-        result, _ = atmult(ab, chain[2], config=BENCH_CONFIG)
+        ab, _ = atmult(chain[0], chain[1], options=MultiplyOptions(config=BENCH_CONFIG))
+        result, _ = atmult(ab, chain[2], options=MultiplyOptions(config=BENCH_CONFIG))
         return result
 
     result, seconds = bench_once(benchmark, run)

@@ -70,8 +70,8 @@ def run_planned(matrix, rhs) -> tuple[float, dict]:
     """One 20-iteration CG solve through a fresh Session (plan cached)."""
     session = Session(config=CONFIG)
     start = time.perf_counter()
-    outcome = session.conjugate_gradient(
-        matrix, rhs, tolerance=0.0, max_iterations=ITERATIONS
+    outcome = session.solve(
+        matrix, rhs, method="cg", tolerance=0.0, max_iterations=ITERATIONS
     )
     elapsed = time.perf_counter() - start
     assert outcome.iterations == ITERATIONS

@@ -18,7 +18,7 @@ only tiling that does not catastrophically lose on hypersparse R7.
 
 import pytest
 
-from repro import atmult, fixed_grid_at_matrix
+from repro import MultiplyOptions, atmult, fixed_grid_at_matrix
 from repro.bench import format_relative_table
 from repro.kernels import spspsp_gemm
 
@@ -68,8 +68,10 @@ def test_step2_fixed_sparse_tiles(benchmark, matrices, collector, key):
     _, seconds = bench_once(
         benchmark,
         lambda: atmult(
-            tiled, tiled, config=BENCH_CONFIG,
-            use_estimation=False, dynamic_conversion=False,
+            tiled, tiled,
+            options=MultiplyOptions(
+                config=BENCH_CONFIG, use_estimation=False, dynamic_conversion=False
+            ),
         ),
     )
     _record(key, STEPS[1], seconds, collector)
@@ -81,8 +83,8 @@ def test_step3_density_estimation(benchmark, matrices, collector, key):
     _, seconds = bench_once(
         benchmark,
         lambda: atmult(
-            tiled, tiled, config=BENCH_CONFIG,
-            use_estimation=True, dynamic_conversion=False,
+            tiled, tiled,
+            options=MultiplyOptions(config=BENCH_CONFIG, dynamic_conversion=False),
         ),
     )
     _record(key, STEPS[2], seconds, collector)
@@ -94,8 +96,8 @@ def test_step4_mixed_tiles(benchmark, matrices, collector, key):
     _, seconds = bench_once(
         benchmark,
         lambda: atmult(
-            tiled, tiled, config=BENCH_CONFIG,
-            use_estimation=True, dynamic_conversion=False,
+            tiled, tiled,
+            options=MultiplyOptions(config=BENCH_CONFIG, dynamic_conversion=False),
         ),
     )
     _record(key, STEPS[3], seconds, collector)
@@ -107,8 +109,8 @@ def test_step5_adaptive_tiles(benchmark, matrices, collector, key):
     _, seconds = bench_once(
         benchmark,
         lambda: atmult(
-            at, at, config=BENCH_CONFIG,
-            use_estimation=True, dynamic_conversion=False,
+            at, at,
+            options=MultiplyOptions(config=BENCH_CONFIG, dynamic_conversion=False),
         ),
     )
     _record(key, STEPS[4], seconds, collector)
@@ -118,7 +120,7 @@ def test_step5_adaptive_tiles(benchmark, matrices, collector, key):
 def test_step6_full_atmult(benchmark, matrices, collector, key):
     at = matrices.at(key)
     _, seconds = bench_once(
-        benchmark, lambda: atmult(at, at, config=BENCH_CONFIG)
+        benchmark, lambda: atmult(at, at, options=MultiplyOptions(config=BENCH_CONFIG))
     )
     _record(key, STEPS[5], seconds, collector)
 

@@ -10,7 +10,7 @@ paper reports it as negligible next to the multiplication.
 import numpy as np
 import pytest
 
-from repro import SystemConfig, atmult, build_at_matrix
+from repro import MultiplyOptions, SystemConfig, atmult, build_at_matrix
 from repro.density import estimate_product_density
 from repro.viz import render_density_map, render_tile_layout
 
@@ -47,7 +47,7 @@ def test_density_estimation(benchmark, matrices, collector):
 def test_actual_product(benchmark, matrices, collector):
     at = matrices.at(KEY)
     (result, _), seconds = bench_once(
-        benchmark, lambda: atmult(at, at, config=BENCH_CONFIG)
+        benchmark, lambda: atmult(at, at, options=MultiplyOptions(config=BENCH_CONFIG))
     )
     _PANELS["actual"] = result.density_map()
     collector.record("fig2", "multiply", KEY, seconds)

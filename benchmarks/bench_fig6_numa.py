@@ -19,7 +19,14 @@ tile-row and, via first touch, of C.
 
 import pytest
 
-from repro import SystemTopology, WorkerTeamScheduler, atmult, build_at_matrix, distribute_tile_rows
+from repro import (
+    MultiplyOptions,
+    SystemTopology,
+    WorkerTeamScheduler,
+    atmult,
+    build_at_matrix,
+    distribute_tile_rows,
+)
 from repro.bench import format_table
 
 from .conftest import register_report, BENCH_CONFIG, bench_once, selected_keys
@@ -38,7 +45,7 @@ def trace_for(matrices, sockets: int):
         # place, and the session cache shares matrices across benches.
         at = build_at_matrix(matrices.staged(KEY), BENCH_CONFIG)
         distribute_tile_rows(at, topology)
-        _, report = atmult(at, at, config=BENCH_CONFIG)
+        _, report = atmult(at, at, options=MultiplyOptions(config=BENCH_CONFIG))
         _TRACES[sockets] = report.tasks
     return _TRACES[sockets]
 

@@ -15,7 +15,7 @@ representation.
 
 import pytest
 
-from repro import atmult
+from repro import MultiplyOptions, atmult
 from repro.bench import format_relative_table, format_table
 from repro.kernels import ddd_gemm, spdd_gemm, spspd_gemm, spspsp_gemm
 
@@ -68,7 +68,7 @@ def test_ddd(benchmark, matrices, collector, key):
 def test_atmult(benchmark, matrices, collector, key):
     at = matrices.at(key)
     (result, report), seconds = bench_once(
-        benchmark, lambda: atmult(at, at, config=BENCH_CONFIG)
+        benchmark, lambda: atmult(at, at, options=MultiplyOptions(config=BENCH_CONFIG))
     )
     _record(key, "ATMULT", seconds, result.memory_bytes())
     _REPORTS[key] = report

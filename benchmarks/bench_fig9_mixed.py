@@ -14,7 +14,7 @@ Expected shapes: ATMULT wins everywhere except the small dense-ish R1
 import numpy as np
 import pytest
 
-from repro import COOMatrix, atmult, build_at_matrix
+from repro import COOMatrix, MultiplyOptions, atmult, build_at_matrix
 from repro.bench import format_relative_table, format_table
 from repro.formats import coo_to_csr, coo_to_dense
 from repro.kernels import ddd_gemm, dspd_gemm, spdd_gemm, spspd_gemm
@@ -88,7 +88,7 @@ def test_sparse_dense_atmult(benchmark, matrices, collector, key):
     at = matrices.at(key)
     operand = dense_operand(matrices, key, "right")
     (result, report), seconds = bench_once(
-        benchmark, lambda: atmult(at, operand["at"], config=BENCH_CONFIG)
+        benchmark, lambda: atmult(at, operand["at"], options=MultiplyOptions(config=BENCH_CONFIG))
     )
     _SECONDS_A.setdefault("ATMULT", {})[key] = seconds
     _REPORTS_A[key] = report
@@ -129,7 +129,7 @@ def test_dense_sparse_atmult(benchmark, matrices, collector, key):
     at = matrices.at(key)
     operand = dense_operand(matrices, key, "left")
     (result, report), seconds = bench_once(
-        benchmark, lambda: atmult(operand["at"], at, config=BENCH_CONFIG)
+        benchmark, lambda: atmult(operand["at"], at, options=MultiplyOptions(config=BENCH_CONFIG))
     )
     _SECONDS_B.setdefault("ATMULT", {})[key] = seconds
     _REPORTS_B[key] = report

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from repro import COOMatrix, SystemConfig, atmult, build_at_matrix
+from repro import COOMatrix, MultiplyOptions, SystemConfig, atmult, build_at_matrix
 from repro.formats import coo_to_dense
 from repro.formats.dense import DenseMatrix
 from repro.generate import clustered_matrix
@@ -22,14 +22,15 @@ from repro.generate import clustered_matrix
 
 def nmf_step(v_at, v_t_at, w: np.ndarray, h: np.ndarray, config):
     """One multiplicative update of W and H for V ~ W @ H."""
+    options = MultiplyOptions(config=config)
     # H update: H <- H * (W^T V) / (W^T W H)
-    wt_v, _ = atmult(DenseMatrix(w.T), v_at, config=config)  # (k x genes)
+    wt_v, _ = atmult(DenseMatrix(w.T), v_at, options=options)  # (k x genes)
     numerator = wt_v.to_dense()
     denominator = (w.T @ w) @ h + 1e-9
     h = h * numerator / denominator
 
     # W update: W <- W * (V H^T) / (W H H^T)
-    v_ht, _ = atmult(v_at, DenseMatrix(h.T), config=config)  # (samples x k)
+    v_ht, _ = atmult(v_at, DenseMatrix(h.T), options=options)  # (samples x k)
     numerator = v_ht.to_dense()
     denominator = w @ (h @ h.T) + 1e-9
     w = w * numerator / denominator

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from repro import COOMatrix, SystemConfig, atmult, build_at_matrix
+from repro import COOMatrix, MultiplyOptions, SystemConfig, atmult, build_at_matrix
 from repro.generate import rmat_matrix
 
 
@@ -39,7 +39,9 @@ def multi_source_bfs(adjacency_at, sources: np.ndarray, vertices: int, config):
     while frontier.nnz:
         level += 1
         product, _ = atmult(
-            build_at_matrix(frontier, config), adjacency_at, config=config
+            build_at_matrix(frontier, config),
+            adjacency_at,
+            options=MultiplyOptions(config=config),
         )
         reached = product.to_csr()
         rows = np.repeat(np.arange(num_sources), reached.row_nnz())

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from repro import COOMatrix, SystemConfig, atmult, build_at_matrix
+from repro import COOMatrix, MultiplyOptions, SystemConfig, atmult, build_at_matrix
 from repro.formats import coo_to_csr
 from repro.kernels import spspsp_gemm
 from repro.viz import render_density_map, render_tile_layout
@@ -44,7 +44,7 @@ def main() -> None:
     baseline_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    result, report = atmult(matrix, matrix, config=config)
+    result, report = atmult(matrix, matrix, options=MultiplyOptions(config=config))
     atmult_seconds = time.perf_counter() - start
 
     print(f"\nspspsp_gemm baseline: {baseline_seconds * 1e3:8.1f} ms")

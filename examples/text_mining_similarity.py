@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from repro import COOMatrix, SystemConfig, atmult, build_at_matrix
+from repro import COOMatrix, MultiplyOptions, SystemConfig, atmult, build_at_matrix
 from repro.formats import coo_to_csr
 from repro.kernels import spspsp_gemm
 
@@ -69,7 +69,7 @@ def main() -> None:
     print(f"A^T as AT Matrix: {a_t}")
 
     start = time.perf_counter()
-    similarity, report = atmult(a, a_t, config=config)
+    similarity, report = atmult(a, a_t, options=MultiplyOptions(config=config))
     elapsed = time.perf_counter() - start
     print(f"\nATMULT D = A A^T: {elapsed * 1e3:.1f} ms, result {similarity}")
     print(f"kernels: {report.kernel_counts}")

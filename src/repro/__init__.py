@@ -9,14 +9,14 @@ A faithful, pure-Python reproduction of
 Quickstart
 ----------
 >>> import numpy as np
->>> from repro import COOMatrix, build_at_matrix, atmult, SystemConfig
+>>> from repro import COOMatrix, MultiplyOptions, SystemConfig, atmult, build_at_matrix
 >>> rng = np.random.default_rng(7)
 >>> dense_block = rng.random((64, 64))
 >>> raw = np.zeros((256, 256)); raw[:64, :64] = dense_block
 >>> staged = COOMatrix.from_dense(raw)
 >>> config = SystemConfig(llc_bytes=32 * 1024, b_atomic=32)
 >>> a = build_at_matrix(staged, config)
->>> c, report = atmult(a, a, config=config)
+>>> c, report = atmult(a, a, options=MultiplyOptions(config=config))
 >>> bool(np.allclose(c.to_dense(), raw @ raw))
 True
 """
@@ -97,7 +97,6 @@ from .core import (
     atmult,
     build_at_matrix,
     fixed_grid_at_matrix,
-    multiply,
 )
 
 # After .core: the resilience package's checkpoint/integrity modules
@@ -152,7 +151,7 @@ from .topology import (
     distribute_tile_rows,
 )
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "SystemConfig",
@@ -230,7 +229,6 @@ __all__ = [
     "write_chrome_trace",
     "write_text_summary",
     "atmult",
-    "multiply",
     "build_at_matrix",
     "fixed_grid_at_matrix",
     # -- the plan-and-execute engine (redesigned API surface) -------------

@@ -346,15 +346,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
         rhs,
         tolerance=args.tolerance,
         max_iterations=args.max_iterations,
-        session=session,
+        options=session.options if session is not None else None,
     )
     status = "converged" if result.converged else "NOT converged"
     print(f"{args.method}: {status} after {result.iterations} iterations "
           f"(residual {result.residual_norm:.3e})")
     if session is not None:
         stats = session.cache_stats()
-        print(f"plan cache: {stats['hits']} hits, {stats['misses']} misses, "
-              f"{stats['entries']} plans ({stats['bytes'] / 1e3:.1f} kB)")
+        print(f"plan cache: {stats.hits} hits, {stats.misses} misses, "
+              f"{stats.entries} plans ({stats.bytes / 1e3:.1f} kB)")
     if args.output:
         solution = _vector_as_coo(result.solution)
         write_matrix_market(solution, args.output, comment="repro solve solution")

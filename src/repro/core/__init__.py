@@ -7,7 +7,7 @@ from .builder import ATMatrixBuilder, BuildReport, build_at_matrix
 from .fixed import fixed_grid_at_matrix
 from .optimizer import DynamicOptimizer, OptimizerStats
 from .report import BaseReport, MultiplyReport, ParallelReport
-from .atmult import atmult, enforce_memory_limit, multiply
+from .atmult import atmult, enforce_memory_limit
 from .chain import ChainPlan, ChainReport, multiply_chain, plan_chain
 from .operands import MatrixOperand, as_at_matrix, operand_density_map
 from .retile import align_to_operand, retile, split_tiles_at_cols
@@ -29,7 +29,6 @@ __all__ = [
     "OptimizerStats",
     "MultiplyReport",
     "atmult",
-    "multiply",
     "enforce_memory_limit",
     "MatrixOperand",
     "as_at_matrix",

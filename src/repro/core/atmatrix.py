@@ -326,9 +326,10 @@ class ATMatrix:
 
     def __matmul__(self, other: ATMatrix | CSRMatrix | DenseMatrix) -> ATMatrix:
         """``A @ B`` runs ATMULT under this matrix's configuration."""
+        from ..engine.options import MultiplyOptions
         from .atmult import atmult
 
-        result, _ = atmult(self, other, config=self.config)
+        result, _ = atmult(self, other, options=MultiplyOptions(config=self.config))
         return result
 
     def __getitem__(

@@ -10,33 +10,27 @@ possible parenthesization with the classic interval dynamic program, but
 scores each split with the *kernel cost model* applied to the estimated
 operand densities instead of the dense flop count ``m*k*n``.
 
-The returned plan is executed with ATMULT, so every intermediate product
-is itself an adaptive tile matrix with cost-optimized kernels.
+The returned plan is executed by the engine's chain runner
+(:func:`repro.engine.api.run_chain`), so every intermediate product is
+itself an adaptive tile matrix with cost-optimized kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import pairwise
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..observe import Observation
-    from ..resilience.retry import RetryPolicy
-
-from .. import _deprecations
 from ..config import DEFAULT_CONFIG, SystemConfig
 from ..cost.model import CostModel
 from ..density.estimate import estimate_product_density
 from ..density.map import DensityMap
-from ..engine.cache import PlanCache
-from ..engine.options import UNSET, MultiplyOptions, coerce_options
+from ..engine.api import run_chain
+from ..engine.options import MultiplyOptions
 from ..errors import ShapeError
 from ..kinds import StorageKind
 from ..observe import session as observe_session
 from .atmatrix import ATMatrix
-from .atmult import MatrixOperand, atmult, operand_density_map
-from .operands import as_at_matrix
+from .operands import MatrixOperand, as_at_matrix, operand_density_map
 from .report import BaseReport, MultiplyReport
 
 
@@ -175,9 +169,8 @@ class ChainReport(BaseReport):
     :class:`ChainPlan` (``.plan``) and the per-step
     :class:`~repro.core.report.MultiplyReport` list (``.steps``); the
     base phase/kernel/conversion counters hold the sums over all steps.
-    For compatibility with the pre-redesign ``(result, plan)`` return
-    shape, the plan's ``cost``/``splits``/``order`` and
-    :meth:`parenthesization` are exposed directly on the report.
+    The plan's ``cost``/``splits``/``order`` and :meth:`parenthesization`
+    are exposed directly on the report.
     """
 
     plan: ChainPlan | None = None
@@ -223,114 +216,35 @@ def multiply_chain(
     operands: list[MatrixOperand],
     *,
     options: MultiplyOptions | None = None,
-    config: SystemConfig | None = None,
-    cost_model: CostModel | None = None,
-    plan_cache: PlanCache | None = None,
-    memory_limit_bytes: float | None = UNSET,
-    dynamic_conversion: bool = UNSET,
-    use_estimation: bool = UNSET,
-    resilience: RetryPolicy | None = UNSET,
-    observer: Observation | None = UNSET,
-    return_report: bool = True,
-) -> tuple[ATMatrix, "ChainReport | ChainPlan"]:
-    """Plan and execute a matrix chain with ATMULT.
+) -> tuple[ATMatrix, ChainReport]:
+    """Plan and execute a matrix chain.
 
     Returns ``(product, report)`` where the :class:`ChainReport` carries
     the executed :class:`ChainPlan` (``report.plan``, with ``order``/
     ``parenthesization()`` available directly on the report) plus the
     aggregated phase and kernel statistics of every step.  Each
     intermediate is an AT Matrix, so later products in the chain keep
-    benefiting from the tile-granular optimization; with a plan cache in
-    ``options`` every step's plan is reused across repeated chain runs.
+    benefiting from the tile-granular optimization.
 
-    With a plan cache (and no resilience/checkpoint/memory-limit
-    context), the chain routes through the engine's fused chain planner:
-    the first run records a whole-chain
+    Chains of two or more operands run through
+    :func:`repro.engine.api.run_chain`.  With a plan cache in
+    ``options`` (and no resilience, checkpoint or memory limit) the
+    first run records a whole-chain
     :class:`~repro.engine.plan.FusedChainPlan` and every later run of
     the same chain replays it from one cache hit with cross-hop
     interleaved execution (``report.fused`` / ``report.plan_cache_hit``
     say which path ran).
-
-    ``return_report=False`` restores the pre-redesign
-    ``(product, ChainPlan)`` shape and is **deprecated** (documented
-    2.0 removal); the legacy execution keywords (``memory_limit_bytes``
-    etc.) and the ``config=``/``cost_model=``/``plan_cache=`` context
-    parameters are likewise deprecated in favor of
-    ``options=MultiplyOptions(...)`` or :class:`~repro.engine.session.Session`.
     """
-    supplied_context = [
-        name
-        for name, value in (
-            ("config", config),
-            ("cost_model", cost_model),
-            ("plan_cache", plan_cache),
-        )
-        if value is not None
-    ]
-    if supplied_context:
-        names = ", ".join(supplied_context)
-        _deprecations.warn_once(
-            f"multiply_chain:context:{names}",
-            f"multiply_chain(): the {names} parameter(s) are deprecated; "
-            "fold them into options=MultiplyOptions(...) or use "
-            "Session.multiply_chain",
-        )
-    opts = coerce_options(
-        options,
-        where="multiply_chain",
-        config=config,
-        cost_model=cost_model,
-        plan_cache=plan_cache,
-        memory_limit_bytes=memory_limit_bytes,
-        dynamic_conversion=dynamic_conversion,
-        use_estimation=use_estimation,
-        resilience=resilience,
-        observer=observer,
-    )
-    if not return_report:
-        _deprecations.warn_once(
-            "multiply_chain:return_report",
-            "multiply_chain(return_report=False) is deprecated; the default "
-            "now returns (result, ChainReport) — the report exposes the "
-            "ChainPlan as report.plan",
-        )
-    resolved_config = opts.resolved_config()
-    resolved_model = opts.resolved_cost_model()
-
-    fusable = (
-        len(operands) >= 2
-        and opts.plan_cache is not None
-        and opts.resilience is None
-        and opts.checkpoint is None
-        and opts.memory_limit_bytes is None
-    )
-    if fusable:
-        from ..engine.api import run_chain
-
-        with observe_session.resolve(opts.observer) as obs:
-            product, report, _fused = run_chain(operands, options=opts, obs=obs)
-        return (product, report) if return_report else (product, report._plan())
-
+    opts = options if options is not None else MultiplyOptions()
     with observe_session.resolve(opts.observer) as obs:
-        report = ChainReport(observation=obs)
+        if len(operands) >= 2:
+            product, report, _fused = run_chain(operands, options=opts, obs=obs)
+            return product, report
+        config = opts.resolved_config()
         with observe_session.tracer_span(obs, "chain_plan"):
             plan = plan_chain(
-                operands, config=resolved_config, cost_model=resolved_model
+                operands, config=config, cost_model=opts.resolved_cost_model()
             )
-        report.plan = plan
-        if len(operands) == 1:
-            single = as_at_matrix(operands[0], resolved_config)
-            return (single, report) if return_report else (single, plan)
-
-        results: dict[tuple[int, int], MatrixOperand] = {
-            (i, i): operand for i, operand in enumerate(operands)
-        }
-        product: ATMatrix | None = None
-        for i, k, j in plan.order:
-            left = results[(i, k)]
-            right = results[(k + 1, j)]
-            product, step_report = atmult(left, right, options=opts)
-            report.merge_step(step_report)
-            results[(i, j)] = product
-        assert product is not None
-        return (product, report) if return_report else (product, plan)
+        return as_at_matrix(operands[0], config), ChainReport(
+            plan=plan, observation=obs
+        )

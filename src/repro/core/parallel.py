@@ -33,30 +33,26 @@ Failure semantics: a pair task that raises no longer kills the whole
 exceptions are captured, busy-time statistics are preserved, and one
 aggregated :class:`~repro.errors.TaskFailedError` is raised after the
 pool drains (carrying ``pair_errors`` and the partially populated
-report).  With ``resilience=RetryPolicy(...)``, each pair is retried in
-isolation, validated by the result guard, and degraded to sparse under
-memory pressure — see :mod:`repro.resilience`.
+report).  With a ``RetryPolicy`` as ``options.resilience``, each pair is
+retried in isolation, validated by the result guard, and degraded to
+sparse under memory pressure — see :mod:`repro.resilience`.
 
-Observability: pass ``observer=`` (or run inside ``repro.observe()``) and
-the pair spans land on their worker threads — the Chrome trace export
-then shows one lane per ``team`` thread with nested pair/kernel spans,
-which is the paper's Fig. 9 execution picture as a timeline.
+Observability: pass ``options=MultiplyOptions(observer=...)`` (or run
+inside ``repro.observe()``) and the pair spans land on their worker
+threads — the Chrome trace export then shows one lane per ``team``
+thread with nested pair/kernel spans, which is the paper's Fig. 9
+execution picture as a timeline.
 """
 
 from __future__ import annotations
 
 import warnings
 
-from ..config import SystemConfig
-from ..cost.model import CostModel
-from ..engine.api import resolve_plan
-from ..engine.cache import PlanCache
+from ..engine.api import fold_plan_phases, resolve_plan
 from ..engine.executor import execute_plan
-from ..engine.options import UNSET, MultiplyOptions, coerce_options
+from ..engine.options import MultiplyOptions
 from ..errors import ShapeError
-from ..observe import Observation
 from ..observe import session as observe_session
-from ..resilience.retry import RetryPolicy
 from ..topology.system import SystemTopology
 from .atmatrix import ATMatrix
 from .operands import MatrixOperand, as_at_matrix
@@ -71,48 +67,22 @@ def parallel_atmult(
     *,
     topology: SystemTopology,
     options: MultiplyOptions | None = None,
-    config: SystemConfig | None = None,
-    cost_model: CostModel | None = None,
-    plan_cache: PlanCache | None = None,
-    memory_limit_bytes: float | None = UNSET,
-    dynamic_conversion: bool = UNSET,
-    use_estimation: bool = UNSET,
-    resilience: RetryPolicy | None = UNSET,
-    observer: Observation | None = UNSET,
-    workers: int | None = UNSET,
 ) -> tuple[ATMatrix, ParallelReport]:
     """Multiply ``C = A x B`` with one worker team per socket.
 
     Semantically identical to :func:`~repro.core.atmult.atmult` and
-    accepts the same keyword surface (``topology`` replaces the implicit
-    sequential execution; ``c`` seeding is not supported in parallel —
-    see docs/API.md).  The tile-row/tile-column pairs are dispatched to
-    a thread pool of ``topology.sockets`` workers (overridable via
-    ``options.workers``) instead of a sequential loop.  With a
-    ``resilience`` policy, flaky pairs are retried in isolation,
-    finished tiles are validated, and memory pressure degrades the
-    write threshold instead of failing the run.  With
-    ``use_estimation=False`` the density estimation phase is skipped and
-    every target tile is sparse (ablation step 3).
-
-    The legacy ``memory_limit_bytes``/``dynamic_conversion``/
-    ``use_estimation``/``resilience``/``observer``/``workers`` keywords
-    are **deprecated** in favor of ``options=MultiplyOptions(...)`` (one
-    consolidated :class:`DeprecationWarning` per call).
+    configured the same way, through ``options`` (``topology`` replaces
+    the implicit sequential execution; ``c`` seeding is not supported in
+    parallel — see docs/API.md).  The tile-row/tile-column pairs are
+    dispatched to ``topology.sockets`` worker teams (overridable via
+    ``options.workers``) on the backend ``options.execution`` names,
+    instead of a sequential loop.  With ``options.resilience``, flaky
+    pairs are retried in isolation, finished tiles are validated, and
+    memory pressure degrades the write threshold instead of failing the
+    run.  With ``use_estimation=False`` the density estimation phase is
+    skipped and every target tile is sparse (ablation step 3).
     """
-    opts = coerce_options(
-        options,
-        where="parallel_atmult",
-        config=config,
-        cost_model=cost_model,
-        plan_cache=plan_cache,
-        memory_limit_bytes=memory_limit_bytes,
-        dynamic_conversion=dynamic_conversion,
-        use_estimation=use_estimation,
-        resilience=resilience,
-        observer=observer,
-        workers=workers,
-    )
+    opts = options if options is not None else MultiplyOptions()
     if a.cols != b.rows:
         raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
     resolved_config = opts.resolved_config()
@@ -164,7 +134,5 @@ def parallel_atmult(
         )
         assert isinstance(report, ParallelReport)
         if fresh:
-            if plan.use_estimation:
-                report.add_phase("estimate", plan.estimate_seconds)
-            report.add_phase("optimize", plan.optimize_seconds)
+            fold_plan_phases(report, plan)
     return result, report

@@ -22,7 +22,7 @@ from .fingerprint import (
     config_fingerprint,
     structure_fingerprint,
 )
-from .options import LEGACY_OPTION_KEYWORDS, UNSET, MultiplyOptions, coerce_options
+from .options import MultiplyOptions
 from .plan import (
     ExecutionPlan,
     FusedChainPlan,
@@ -45,7 +45,6 @@ __all__ = [
     "FusedChainOutcome",
     "FusedChainPlan",
     "HopSource",
-    "LEGACY_OPTION_KEYWORDS",
     "MultiplyOptions",
     "PairComputer",
     "PlanCache",
@@ -55,12 +54,10 @@ __all__ = [
     "PlannedProduct",
     "Session",
     "ShardConfig",
-    "UNSET",
     "assign_shards",
     "build_chain_plan",
     "build_plan",
     "chain_fingerprint",
-    "coerce_options",
     "config_fingerprint",
     "execute",
     "execute_fused_chain",

@@ -7,7 +7,9 @@ same-topology operands.  ``atmult(a, b)`` is exactly
 ``execute(plan(a, b), a, b)`` — the operator front-ends in
 :mod:`repro.core` route through :func:`resolve_plan` so iterative
 workloads skip estimation, partitioning and optimization from the
-second call on.
+second call on.  :func:`run_chain` is the one execution loop for matrix
+chains: hop by hop when cold, one fused replay when a cached
+:class:`~repro.engine.plan.FusedChainPlan` applies.
 """
 
 from __future__ import annotations
@@ -18,14 +20,14 @@ from typing import TYPE_CHECKING
 from ..config import SystemConfig
 from ..core.atmatrix import ATMatrix
 from ..core.operands import MatrixOperand, as_at_matrix
-from ..core.report import MultiplyReport
+from ..core.report import BaseReport, MultiplyReport
 from ..cost.model import CostModel
-from ..errors import PlanMismatchError, ShapeError
+from ..errors import ConfigError, PlanMismatchError, ShapeError
 from ..observe import Observation
 from ..observe import session as observe_session
 from .cache import ChainKey, PlanKey
 from .executor import execute_fused_chain, execute_plan
-from .options import MultiplyOptions, coerce_options
+from .options import MultiplyOptions
 from .plan import (
     ExecutionPlan,
     FusedChainPlan,
@@ -100,21 +102,43 @@ def resolve_plan(
     return built, True
 
 
+def fold_plan_phases(report: BaseReport, plan: ExecutionPlan) -> None:
+    """Attribute a freshly built plan's phase durations to ``report``.
+
+    Cached replays skip this — their reports show (near) zero estimate
+    and decision time, which is the whole point of plan reuse.
+    """
+    if plan.use_estimation:
+        report.add_phase("estimate", plan.estimate_seconds)
+    report.add_phase("optimize", plan.optimize_seconds)
+
+
+def chain_fusable(options: MultiplyOptions) -> bool:
+    """Whether work under ``options`` may cache and replay fused plans.
+
+    A fused replay runs no per-hop retry, checkpoint journal or
+    memory-limit repair, so only plain runs with a plan cache qualify;
+    everything else takes the hop-by-hop cold path every time.
+    """
+    return (
+        options.plan_cache is not None
+        and options.resilience is None
+        and options.checkpoint is None
+        and options.memory_limit_bytes is None
+    )
+
+
 def plan(
     a: MatrixOperand,
     b: MatrixOperand,
     *,
     options: MultiplyOptions | None = None,
-    config: SystemConfig | None = None,
-    cost_model: CostModel | None = None,
 ) -> ExecutionPlan:
     """Resolve the execution plan for ``A x B`` without running kernels.
 
     Consults (and fills) ``options.plan_cache`` when one is set.
     """
-    opts = coerce_options(
-        options, where="plan", config=config, cost_model=cost_model
-    )
+    opts = options if options is not None else MultiplyOptions()
     if a.cols != b.rows:
         raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
     resolved_config = opts.resolved_config()
@@ -140,17 +164,13 @@ def execute(
     c: MatrixOperand | None = None,
     *,
     options: MultiplyOptions | None = None,
-    config: SystemConfig | None = None,
-    cost_model: CostModel | None = None,
 ) -> tuple[ATMatrix, MultiplyReport]:
     """Replay a plan against operands of matching topology.
 
     Raises :class:`~repro.errors.PlanMismatchError` when either
     operand's structure fingerprint differs from the plan's.
     """
-    opts = coerce_options(
-        options, where="execute", config=config, cost_model=cost_model
-    )
+    opts = options if options is not None else MultiplyOptions()
     resolved_config = opts.resolved_config()
     resolved_model = opts.resolved_cost_model()
     if c is not None and c.shape != execution_plan.shape:
@@ -234,12 +254,11 @@ def _run_chain_cold(
     """Execute a chain hop-by-hop, recording fused replay metadata.
 
     Each hop resolves through the options' plan cache (sharing per-hop
-    entries with plain ``atmult`` calls) and executes sequentially, so
-    the recorded ``tile_of_pair``/``expected_tiles`` describe exactly
-    what a fused replay must reproduce.
+    entries with plain ``atmult`` calls) and executes sequentially under
+    the options' resilience, checkpoint and cancel settings, so the
+    recorded ``tile_of_pair``/``expected_tiles`` describe exactly what a
+    fused replay must reproduce.
     """
-    from ..core.atmult import _fold_plan_phases
-
     sources: dict[tuple[int, int], HopSource] = {
         (i, i): HopSource("leaf", i) for i in range(len(ats))
     }
@@ -265,13 +284,16 @@ def _run_chain_cold(
             right,
             config=config,
             cost_model=cost_model,
+            resilience=options.resilience,
             obs=obs,
             check_fingerprints=False,
+            checkpoint=options.checkpoint,
+            checkpoint_flush_pairs=options.checkpoint_flush_pairs,
             cancel=options.cancel,
         )
         assert isinstance(step_report, MultiplyReport)
         if fresh:
-            _fold_plan_phases(step_report, hop_plan)
+            fold_plan_phases(step_report, hop_plan)
         report.merge_step(step_report)
         tile_of_pair, expected = _expected_tiles(hop_plan, product)
         hops.append(
@@ -298,23 +320,33 @@ def run_chain(
     *,
     options: MultiplyOptions,
     obs: Observation | None,
-) -> tuple[ATMatrix, ChainReport, FusedChainPlan | None]:
-    """Run a matrix chain through the fused chain planner.
+) -> tuple[ATMatrix, ChainReport, FusedChainPlan]:
+    """Run a matrix chain of two or more operands.
 
-    With a plan cache in ``options`` and a matching
-    :class:`~repro.engine.plan.FusedChainPlan` cached, the whole chain
-    replays as one interleaved fused execution (intermediates consumed
-    while resident, freed eagerly).  Otherwise the chain is planned and
-    run cold — hop by hop, recording replay metadata — and the resulting
-    fused plan is cached for the next run.  Returns
-    ``(result, report, fused_plan)``; the report's ``fused`` /
+    When the chain is fusable (:func:`chain_fusable`) and a matching
+    :class:`~repro.engine.plan.FusedChainPlan` is cached, the whole
+    chain replays as one interleaved fused execution (intermediates
+    consumed while resident, freed eagerly).  Otherwise the chain is
+    planned and run cold — hop by hop, recording replay metadata — and,
+    when fusable, the resulting fused plan is cached for the next run.
+    Returns ``(result, report, fused_plan)``; the report's ``fused`` /
     ``plan_cache_hit`` flags say which path ran.
+
+    A checkpoint journal holds the pairs of one product, so a
+    ``checkpoint`` with more than one hop is a :class:`ConfigError`,
+    raised before any kernel runs.
     """
     from ..core.chain import ChainReport, plan_chain
 
     if len(operands) < 2:
         raise ShapeError(
-            f"a fused chain needs at least two operands, got {len(operands)}"
+            f"a chain run needs at least two operands, got {len(operands)}"
+        )
+    if options.checkpoint is not None and len(operands) > 2:
+        raise ConfigError(
+            "a checkpoint journals a single product; a chain of "
+            f"{len(operands)} operands has {len(operands) - 1} hops — "
+            "checkpoint each product separately"
         )
     resolved_config = options.resolved_config()
     resolved_model = options.resolved_cost_model()
@@ -328,7 +360,7 @@ def run_chain(
         use_estimation=options.use_estimation,
     )
     key = ChainKey(fingerprints, setup)
-    cache = options.plan_cache
+    cache = options.plan_cache if chain_fusable(options) else None
 
     if cache is not None:
         cached = cache.get(key)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import Any
 
 from ..observe import session as observe_session
 from .plan import ExecutionPlan, FusedChainPlan
@@ -38,10 +37,8 @@ CachedPlan = ExecutionPlan | FusedChainPlan
 class CacheStats:
     """Immutable snapshot of one :class:`PlanCache`'s counters.
 
-    ``stats()`` used to return a raw dict; the dataclass names the shape
-    so callers (and the service metrics endpoint) can rely on it.  The
-    mapping-style ``stats["hits"]`` spelling keeps working via
-    :meth:`__getitem__`.
+    The dataclass names the shape so callers (and the service metrics
+    endpoint) can rely on it; :meth:`as_dict` gives the plain mapping.
     """
 
     hits: int
@@ -64,13 +61,6 @@ class CacheStats:
     def as_dict(self) -> dict[str, int]:
         """The counters as a plain JSON-serializable dict."""
         return asdict(self)
-
-    def __getitem__(self, key: str) -> Any:
-        try:
-            value: Any = getattr(self, key)
-        except AttributeError:
-            raise KeyError(key) from None
-        return value
 
 
 @dataclass(frozen=True)
@@ -103,7 +93,7 @@ class PlanCache:
     """LRU cache of single-product and fused chain plans (byte budget).
 
     >>> cache = PlanCache(max_bytes=1 << 20)
-    >>> cache.stats()["hits"]
+    >>> cache.stats().hits
     0
     """
 

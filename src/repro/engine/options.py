@@ -1,30 +1,17 @@
-"""The consolidated multiply configuration: :class:`MultiplyOptions`.
+"""The multiply configuration: :class:`MultiplyOptions`.
 
-Before the engine redesign every multiply entry point grew the same
-sprawl of keywords (``memory_limit_bytes``, ``use_estimation``,
-``dynamic_conversion``, ``resilience``, ``observer``, worker counts) and
-they drifted independently.  :class:`MultiplyOptions` consolidates them
-into one frozen value object that `atmult`, `parallel_atmult`,
-`multiply`, `multiply_chain`, the solvers and :class:`~repro.engine.session.Session`
-all accept as ``options=``.
-
-The legacy keywords keep working through :func:`coerce_options`, the
-shared coercion helper every entry point calls: any legacy keyword that
-was explicitly supplied is folded into the options object and **one**
-consolidated :class:`DeprecationWarning` is emitted through
-:mod:`repro._deprecations` — once per (entry point, keyword set) site,
-naming the keywords to migrate (never one warning per keyword, never a
-repeat on every loop iteration).  Explicitly supplied legacy values
-override the corresponding ``options`` fields, so mixed calls behave
-predictably during migration.
+Every multiply entry point — `atmult`, `parallel_atmult`,
+`multiply_chain`, the engine's `plan`/`execute`, the solvers and
+:class:`~repro.engine.session.Session` — takes its configuration as one
+frozen value object, ``options=MultiplyOptions(...)``; there are no
+per-field keywords on the entry points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
-from .. import _deprecations
 from ..config import DEFAULT_CONFIG, SystemConfig
 from ..cost.model import CostModel
 from ..observe import Observation
@@ -34,27 +21,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience.cancel import CancelToken
     from ..resilience.checkpoint import CheckpointStore
     from .cache import PlanCache
-
-
-class _Unset:
-    """Sentinel distinguishing "not passed" from an explicit ``None``."""
-
-    _instance: _Unset | None = None
-
-    def __new__(cls) -> _Unset:
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<unset>"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-#: Default value of every legacy keyword on the multiply entry points.
-UNSET: Any = _Unset()
 
 
 @dataclass(frozen=True)
@@ -153,66 +119,3 @@ class MultiplyOptions:
     def resolved_cost_model(self) -> CostModel:
         return self.cost_model or CostModel()
 
-
-#: Legacy multiply keywords folded into :class:`MultiplyOptions`.
-LEGACY_OPTION_KEYWORDS = (
-    "memory_limit_bytes",
-    "dynamic_conversion",
-    "use_estimation",
-    "resilience",
-    "observer",
-    "workers",
-)
-
-_FIELD_NAMES = {spec.name for spec in fields(MultiplyOptions)}
-
-
-def coerce_options(
-    options: MultiplyOptions | None,
-    *,
-    where: str,
-    config: SystemConfig | None = None,
-    cost_model: CostModel | None = None,
-    plan_cache: PlanCache | None = None,
-    stacklevel: int = 3,
-    **legacy: Any,
-) -> MultiplyOptions:
-    """Fold legacy keywords into a :class:`MultiplyOptions`.
-
-    ``legacy`` holds the raw values of the deprecated keywords with
-    :data:`UNSET` marking "not passed".  Supplying any of them emits one
-    consolidated :class:`DeprecationWarning` through
-    :func:`repro._deprecations.warn_once` (so a migration-era loop warns
-    on its first iteration only); explicitly supplied values override
-    the matching ``options`` fields.  The
-    ``config``/``cost_model``/``plan_cache`` keywords are part of the
-    redesigned surface and are folded in silently when given.
-    """
-    base = options if options is not None else MultiplyOptions()
-    supplied = {
-        name: value for name, value in legacy.items() if value is not UNSET
-    }
-    unknown = set(supplied) - _FIELD_NAMES
-    if unknown:
-        raise TypeError(f"{where}() got unexpected keyword(s): {sorted(unknown)}")
-    if supplied:
-        names = ", ".join(sorted(supplied))
-        _deprecations.warn_once(
-            f"{where}:legacy:{names}",
-            f"{where}(): the keyword(s) {names} are deprecated; pass "
-            f"options=MultiplyOptions(...) instead",
-            stacklevel=stacklevel + 1,
-        )
-        base = base.replace(**supplied)
-    explicit = {
-        name: value
-        for name, value in (
-            ("config", config),
-            ("cost_model", cost_model),
-            ("plan_cache", plan_cache),
-        )
-        if value is not None
-    }
-    if explicit:
-        base = base.replace(**explicit)
-    return base

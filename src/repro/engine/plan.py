@@ -41,11 +41,11 @@ from ..kinds import StorageKind, kernel_name
 from ..observe import Observation
 from ..observe import session as observe_session
 from .fingerprint import chain_fingerprint, config_fingerprint, structure_fingerprint
+from .options import MultiplyOptions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.chain import ChainPlan
     from ..core.operands import MatrixOperand
-    from .options import MultiplyOptions
 
 _span = observe_session.tracer_span
 
@@ -584,8 +584,6 @@ def build_chain_plan(
     operands: list[MatrixOperand],
     *,
     options: MultiplyOptions | None = None,
-    config: SystemConfig | None = None,
-    cost_model: CostModel | None = None,
 ) -> FusedChainPlan:
     """Resolve a whole matrix chain into one :class:`FusedChainPlan`.
 
@@ -597,19 +595,9 @@ def build_chain_plan(
     object is replay — through ``options.plan_cache`` every later run of
     the same chain (and every solver iteration) is a single cache hit.
     """
-    from ..errors import ShapeError
     from .api import run_chain
-    from .options import coerce_options
 
-    if len(operands) < 2:
-        raise ShapeError(
-            "a fused chain needs at least two operands, got "
-            f"{len(operands)}"
-        )
-    opts = coerce_options(
-        options, where="build_chain_plan", config=config, cost_model=cost_model
-    )
+    opts = options if options is not None else MultiplyOptions()
     with observe_session.resolve(opts.observer) as obs:
         _result, _report, fused = run_chain(operands, options=opts, obs=obs)
-    assert fused is not None  # guaranteed for two or more operands
     return fused

@@ -4,7 +4,7 @@ A :class:`Session` is the object-oriented entry point of the redesigned
 API: it owns a resolved :class:`~repro.engine.options.MultiplyOptions`
 (with a :class:`~repro.engine.cache.PlanCache` always attached) and
 optionally an :class:`~repro.observe.Observation`, and exposes the
-operator surface — multiply, parallel multiply, chains, matrix-vector
+operator surface — multiply, chains, expressions, matrix-vector
 products and the iterative solvers — with plan reuse wired through
 everything:
 
@@ -46,10 +46,9 @@ from .plan import ExecutionPlan
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.atmatrix import ATMatrix
     from ..core.chain import ChainReport
-    from ..core.report import MultiplyReport, ParallelReport
+    from ..core.report import MultiplyReport
     from ..expr import MatrixExpr
     from ..solve import SolveResult
-    from ..topology.system import SystemTopology
 
 
 class Session:
@@ -178,18 +177,6 @@ class Session:
 
         return atmult(a, b, c, options=self.options)
 
-    def parallel_multiply(
-        self,
-        a: MatrixOperand,
-        b: MatrixOperand,
-        *,
-        topology: SystemTopology,
-    ) -> tuple["ATMatrix", "ParallelReport"]:
-        """Parallel ``C = A x B``; shares plans with the sequential path."""
-        from ..core.parallel import parallel_atmult
-
-        return parallel_atmult(a, b, topology=topology, options=self.options)
-
     def multiply_chain(
         self, operands: list[MatrixOperand]
     ) -> tuple["ATMatrix", "ChainReport"]:
@@ -214,7 +201,7 @@ class Session:
         plan cache; additions, scalings and transposes run under the
         session's configuration.
         """
-        return expr.evaluate(session=self)
+        return expr.evaluate(options=self.options)
 
     def matvec(self, matrix: MatrixOperand, vector: np.ndarray) -> np.ndarray:
         """``A @ x`` through the engine, so repeated products reuse one plan.
@@ -228,9 +215,6 @@ class Session:
         return result.to_dense().ravel()
 
     # -- solvers -----------------------------------------------------------
-    #: ``method=`` spellings accepted by :meth:`solve`.
-    SOLVE_METHODS = ("cg", "jacobi", "richardson")
-
     def solve(
         self,
         a: MatrixOperand,
@@ -241,8 +225,7 @@ class Session:
     ) -> SolveResult:
         """Solve ``A x = b`` with the named iterative method.
 
-        ``method`` is one of ``"cg"`` (conjugate gradients, the default;
-        ``"conjugate_gradient"`` is accepted as a long spelling),
+        ``method`` is one of ``"cg"`` (conjugate gradients, the default),
         ``"jacobi"`` or ``"richardson"``.  Extra keywords go to the
         underlying solver (``tol``, ``max_iterations``, ``omega``, ...);
         every iteration multiplies through this session, so the matrix
@@ -252,7 +235,6 @@ class Session:
 
         drivers: dict[str, Callable[..., SolveResult]] = {
             "cg": conjugate_gradient,
-            "conjugate_gradient": conjugate_gradient,
             "jacobi": jacobi,
             "richardson": richardson,
         }
@@ -260,31 +242,13 @@ class Session:
         if driver is None:
             raise ConfigError(
                 f"unknown solve method {method!r}; expected one of "
-                f"{', '.join(self.SOLVE_METHODS)}"
+                f"{', '.join(drivers)}"
             )
-        return driver(a, b, session=self, **kwargs)
-
-    def richardson(
-        self, matrix: MatrixOperand, rhs: np.ndarray, **kwargs: Any
-    ) -> SolveResult:
-        """Thin delegate of ``solve(..., method="richardson")``."""
-        return self.solve(matrix, rhs, method="richardson", **kwargs)
-
-    def jacobi(
-        self, matrix: MatrixOperand, rhs: np.ndarray, **kwargs: Any
-    ) -> SolveResult:
-        """Thin delegate of ``solve(..., method="jacobi")``."""
-        return self.solve(matrix, rhs, method="jacobi", **kwargs)
-
-    def conjugate_gradient(
-        self, matrix: MatrixOperand, rhs: np.ndarray, **kwargs: Any
-    ) -> SolveResult:
-        """Thin delegate of ``solve(..., method="cg")``."""
-        return self.solve(matrix, rhs, method="cg", **kwargs)
+        return driver(a, b, options=self.options, **kwargs)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         stats = self.cache_stats()
         return (
-            f"Session(plans={stats['entries']}, hits={stats['hits']}, "
-            f"misses={stats['misses']})"
+            f"Session(plans={stats.entries}, hits={stats.hits}, "
+            f"misses={stats.misses})"
         )

@@ -25,21 +25,16 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from . import _deprecations
 from .config import SystemConfig
 from .core.arith import add as at_add
 from .core.arith import scale as at_scale
 from .core.atmatrix import ATMatrix
-from .core.atmult import MatrixOperand, as_at_matrix
 from .core.chain import multiply_chain
+from .core.operands import MatrixOperand, as_at_matrix
 from .cost.model import CostModel
 from .engine.options import MultiplyOptions
 from .errors import ShapeError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .engine.session import Session
 
 
 class MatrixExpr:
@@ -76,59 +71,23 @@ class MatrixExpr:
         return Transpose(self)
 
     # -- evaluation -----------------------------------------------------------
-    def evaluate(
-        self,
-        *,
-        config: SystemConfig | None = None,
-        cost_model: CostModel | None = None,
-        options: MultiplyOptions | None = None,
-        session: Session | None = None,
-    ) -> ATMatrix:
-        """Normalize, plan and execute the expression.
+    def evaluate(self, *, options: MultiplyOptions | None = None) -> ATMatrix:
+        """Normalize, plan and execute the expression under ``options``.
 
-        Execution context, highest precedence first: ``session`` (its
-        options — plan cache included — drive every product), then
-        ``options``, then a default :class:`MultiplyOptions`.  The
-        ``config``/``cost_model`` parameters override the corresponding
-        fields of whichever applies but are **deprecated** — fold them
-        into ``options=MultiplyOptions(...)`` or evaluate through
-        :meth:`Session.evaluate <repro.Session.evaluate>`.  With a plan
-        cache attached (a session always has one), product chains route
-        through the fused chain planner, so re-evaluating an expression
-        over same-topology operands replays whole fused chain plans.
+        ``None`` means a default :class:`MultiplyOptions`.  With a plan
+        cache attached (evaluate through :meth:`Session.evaluate
+        <repro.Session.evaluate>` — a session always has one), product
+        chains route through the fused chain planner, so re-evaluating
+        an expression over same-topology operands replays whole fused
+        chain plans.
         """
-        supplied_context = [
-            name
-            for name, value in (
-                ("config", config),
-                ("cost_model", cost_model),
-            )
-            if value is not None
-        ]
-        if supplied_context:
-            names = ", ".join(supplied_context)
-            _deprecations.warn_once(
-                f"MatrixExpr.evaluate:context:{names}",
-                f"MatrixExpr.evaluate(): the {names} parameter(s) are "
-                "deprecated; fold them into options=MultiplyOptions(...) "
-                "or evaluate through Session.evaluate",
-            )
-        if session is not None:
-            base = session.options
-        elif options is not None:
-            base = options
-        else:
-            base = MultiplyOptions()
-        if config is not None:
-            base = base.replace(config=config)
-        if cost_model is not None:
-            base = base.replace(cost_model=cost_model)
+        base = options if options is not None else MultiplyOptions()
         normalized = self._pushdown(False)
         return normalized._execute(
             base.resolved_config(), base.resolved_cost_model(), base
         )
 
-    def plan(self, *, config: SystemConfig | None = None) -> str:
+    def plan(self) -> str:
         """Human-readable normalized structure (for inspection/tests)."""
         return self._pushdown(False)._describe()
 

@@ -11,8 +11,8 @@ Two execution paths:
 
 * plain (default): matrix-vector products run through the light
   :func:`~repro.core.atmv.atmv` tile loop;
-* engine (``session=`` or ``options=``): products run ``A @ x`` through
-  the engine with the caller's
+* engine (``options=``, which :meth:`repro.Session.solve` passes):
+  products run ``A @ x`` through the engine with the caller's
   :class:`~repro.engine.options.MultiplyOptions`.  With a plan cache
   attached (a :class:`~repro.Session` always has one), the loop *pins*
   one fused matvec plan for the entire iteration: the first iteration
@@ -40,6 +40,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG
 from .core.atmv import atmv
 from .core.operands import MatrixOperand, as_at_matrix
+from .engine.api import chain_fusable, run_chain
 from .engine.options import MultiplyOptions
 from .errors import PlanMismatchError, ReproError, ShapeError
 from .formats.dense import DenseMatrix
@@ -47,7 +48,6 @@ from .formats.dense import DenseMatrix
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core.atmatrix import ATMatrix
     from .engine.plan import FusedChainPlan
-    from .engine.session import Session
 
 
 class ConvergenceError(ReproError, RuntimeError):
@@ -105,7 +105,6 @@ class _PinnedMatvec:
         self.pinned_replays = 0
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        from .engine.api import run_chain
         from .engine.executor import execute_fused_chain
         from .observe import session as observe_session
 
@@ -130,45 +129,36 @@ class _PinnedMatvec:
             result, report, fused = run_chain(
                 [self._at, dense], options=self._options, obs=obs
             )
-            if report.plan_cache_hit and fused is not None:
+            if report.plan_cache_hit:
                 self._pinned = fused
         return result.to_dense().ravel()
 
 
 def _matvec_driver(
-    matrix: MatrixOperand,
-    session: Session | None,
-    options: MultiplyOptions | None,
+    matrix: MatrixOperand, options: MultiplyOptions | None
 ) -> tuple["ATMatrix", Callable[[np.ndarray], np.ndarray]]:
     """Hoisted operand wrapping plus the per-iteration product kernel.
 
     The operand is wrapped with :func:`as_at_matrix` exactly once, here,
     before any iteration runs (the regression tests count
-    ``operand.wraps.*`` metric increments to pin this down).  Without a
-    session/options the product is the plain :func:`atmv` tile loop.
-    With a plan cache (and no resilience/checkpoint/memory-limit
-    context) the loop gets a :class:`_PinnedMatvec`; otherwise each
-    product runs through plain :func:`~repro.core.atmult.atmult`.
+    ``operand.wraps.*`` metric increments to pin this down).  Without
+    options the product is the plain :func:`atmv` tile loop.  When the
+    options allow fused replay (:func:`~repro.engine.api.chain_fusable`)
+    the loop gets a :class:`_PinnedMatvec`; otherwise each product runs
+    through plain :func:`~repro.core.atmult.atmult`.
     """
-    opts = session.options if session is not None else options
-    if opts is None:
+    if options is None:
         at = as_at_matrix(matrix, DEFAULT_CONFIG)
         return at, lambda x: atmv(at, x)
 
-    at = as_at_matrix(matrix, opts.resolved_config())
-    pinnable = (
-        opts.plan_cache is not None
-        and opts.resilience is None
-        and opts.checkpoint is None
-        and opts.memory_limit_bytes is None
-    )
-    if pinnable:
-        return at, _PinnedMatvec(at, opts)
+    at = as_at_matrix(matrix, options.resolved_config())
+    if chain_fusable(options):
+        return at, _PinnedMatvec(at, options)
     from .core.atmult import atmult
 
     def matvec(x: np.ndarray) -> np.ndarray:
         column = np.asarray(x, dtype=np.float64).reshape(-1, 1)
-        result, _ = atmult(at, DenseMatrix(column, copy=False), options=opts)
+        result, _ = atmult(at, DenseMatrix(column, copy=False), options=options)
         return result.to_dense().ravel()
 
     return at, matvec
@@ -182,12 +172,11 @@ def richardson(
     tolerance: float = 1e-8,
     max_iterations: int = 1000,
     x0: np.ndarray | None = None,
-    session: Session | None = None,
     options: MultiplyOptions | None = None,
 ) -> SolveResult:
     """Damped Richardson iteration ``x += omega * (b - A x)``."""
     rhs = _check_system(matrix, rhs)
-    _, matvec = _matvec_driver(matrix, session, options)
+    _, matvec = _matvec_driver(matrix, options)
     x = np.zeros_like(rhs) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     norm_b = np.linalg.norm(rhs) or 1.0
     residual_norm = np.inf
@@ -207,7 +196,6 @@ def jacobi(
     tolerance: float = 1e-10,
     max_iterations: int = 1000,
     x0: np.ndarray | None = None,
-    session: Session | None = None,
     options: MultiplyOptions | None = None,
 ) -> SolveResult:
     """Jacobi iteration ``x = D^-1 (b - (A - D) x)``.
@@ -216,7 +204,7 @@ def jacobi(
     :class:`ShapeError` when the diagonal contains zeros.
     """
     rhs = _check_system(matrix, rhs)
-    at, matvec = _matvec_driver(matrix, session, options)
+    at, matvec = _matvec_driver(matrix, options)
     diagonal = at.to_csr().diagonal()
     if np.any(diagonal == 0.0):
         raise ShapeError("Jacobi requires a zero-free diagonal")
@@ -240,12 +228,11 @@ def conjugate_gradient(
     tolerance: float = 1e-10,
     max_iterations: int | None = None,
     x0: np.ndarray | None = None,
-    session: Session | None = None,
     options: MultiplyOptions | None = None,
 ) -> SolveResult:
     """Conjugate gradients for symmetric positive definite systems."""
     rhs = _check_system(matrix, rhs)
-    _, matvec = _matvec_driver(matrix, session, options)
+    _, matvec = _matvec_driver(matrix, options)
     n = matrix.rows
     budget = max_iterations if max_iterations is not None else 10 * n
     if x0 is None:

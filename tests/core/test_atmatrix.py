@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import COOMatrix, StorageKind, build_at_matrix
+from repro import COOMatrix, MultiplyOptions, StorageKind, build_at_matrix
 from repro.core.atmatrix import ATMatrix
 from repro.core.tile import Tile
 from repro.errors import FormatError, ShapeError
@@ -166,7 +166,7 @@ class TestSubmatrix:
         at, array = matrix
         b = at.zspace.b_atomic
         sub = at.submatrix(0, 4 * b, 0, 4 * b)
-        result, _ = atmult(sub, sub, config=small_config)
+        result, _ = atmult(sub, sub, options=MultiplyOptions(config=small_config))
         expected = array[: 4 * b, : 4 * b] @ array[: 4 * b, : 4 * b]
         np.testing.assert_allclose(result.to_dense(), expected, atol=1e-9)
 
@@ -217,7 +217,7 @@ class TestLogging:
         array = heterogeneous_array(rng, 64, 64)
         with caplog.at_level(logging.DEBUG, logger="repro"):
             at = build_at_matrix(COOMatrix.from_dense(array), small_config)
-            atmult(at, at, config=small_config)
+            atmult(at, at, options=MultiplyOptions(config=small_config))
         messages = [record.getMessage() for record in caplog.records]
         assert any("partitioned" in message for message in messages)
         assert any("atmult" in message for message in messages)

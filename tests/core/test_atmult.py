@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import COOMatrix, CostModel, SystemConfig, atmult, build_at_matrix, multiply
-from repro.core.atmult import as_at_matrix, operand_density_map
+from repro import (
+    COOMatrix,
+    CostModel,
+    MultiplyOptions,
+    SystemConfig,
+    atmult,
+    build_at_matrix,
+)
+from repro.core.operands import as_at_matrix, operand_density_map
 from repro.errors import MemoryLimitError, ShapeError
 from repro.kinds import StorageKind
 
@@ -24,7 +31,7 @@ def workload(rng, small_config):
 class TestCorrectness:
     def test_at_times_at(self, workload, small_config):
         a, b, at_a, at_b = workload
-        result, report = atmult(at_a, at_b, config=small_config)
+        result, report = atmult(at_a, at_b, options=MultiplyOptions(config=small_config))
         np.testing.assert_allclose(result.to_dense(), a @ b, atol=1e-10)
         assert report.total_seconds > 0
 
@@ -34,7 +41,7 @@ class TestCorrectness:
         operands_b = {"at": at_b, "csr": as_csr(b), "dense": as_dense(b)}
         for ka, op_a in operands_a.items():
             for kb, op_b in operands_b.items():
-                result, _ = atmult(op_a, op_b, config=small_config)
+                result, _ = atmult(op_a, op_b, options=MultiplyOptions(config=small_config))
                 np.testing.assert_allclose(
                     result.to_dense(), a @ b, atol=1e-10,
                     err_msg=f"A={ka}, B={kb}",
@@ -42,38 +49,32 @@ class TestCorrectness:
 
     def test_c_accumulation(self, workload, small_config):
         a, b, at_a, at_b = workload
-        first, _ = atmult(at_a, at_b, config=small_config)
-        second, _ = atmult(at_a, at_b, c=first, config=small_config)
+        first, _ = atmult(at_a, at_b, options=MultiplyOptions(config=small_config))
+        second, _ = atmult(at_a, at_b, c=first, options=MultiplyOptions(config=small_config))
         np.testing.assert_allclose(second.to_dense(), 2 * (a @ b), atol=1e-9)
 
     def test_c_shape_checked(self, workload, small_config):
         _, _, at_a, at_b = workload
         with pytest.raises(ShapeError):
-            atmult(at_a, at_b, c=at_a, config=small_config)
+            atmult(at_a, at_b, c=at_a, options=MultiplyOptions(config=small_config))
 
     def test_inner_dims_checked(self, workload, small_config):
         _, _, at_a, _ = workload
         with pytest.raises(ShapeError):
-            atmult(at_a, at_a, config=small_config)
+            atmult(at_a, at_a, options=MultiplyOptions(config=small_config))
 
     def test_empty_operand(self, small_config):
         empty = build_at_matrix(COOMatrix.empty(48, 48), small_config)
-        result, _ = atmult(empty, empty, config=small_config)
+        result, _ = atmult(empty, empty, options=MultiplyOptions(config=small_config))
         assert result.nnz == 0
-
-    def test_multiply_wrapper(self, workload, small_config):
-        a, b, at_a, at_b = workload
-        result, report = multiply(at_a, at_b, config=small_config)
-        np.testing.assert_allclose(result.to_dense(), a @ b, atol=1e-10)
-        assert report.total_seconds >= 0
 
 
 class TestReport:
     def test_phases_accounted(self, workload, small_config):
         _, _, at_a, at_b = workload
-        _, report = atmult(at_a, at_b, config=small_config)
-        assert report.estimate_seconds > 0
-        assert report.multiply_seconds > 0
+        _, report = atmult(at_a, at_b, options=MultiplyOptions(config=small_config))
+        assert report.phase("estimate") > 0
+        assert report.phase("multiply") > 0
         assert 0 <= report.estimate_fraction < 1
         assert 0 <= report.optimize_fraction < 1
         assert report.kernel_counts
@@ -81,8 +82,12 @@ class TestReport:
 
     def test_estimation_disabled(self, workload, small_config):
         _, _, at_a, at_b = workload
-        _, report = atmult(at_a, at_b, config=small_config, use_estimation=False)
-        assert report.estimate_seconds == 0.0
+        _, report = atmult(
+            at_a,
+            at_b,
+            options=MultiplyOptions(config=small_config, use_estimation=False),
+        )
+        assert report.phase("estimate") == 0.0
         assert report.water_level is None
         # Without estimation every target tile is sparse.
         assert all(name.endswith("sp_gemm") for name in report.kernel_counts)
@@ -90,7 +95,9 @@ class TestReport:
     def test_dynamic_conversion_disabled(self, workload, small_config):
         a, b, at_a, at_b = workload
         result, report = atmult(
-            at_a, at_b, config=small_config, dynamic_conversion=False
+            at_a,
+            at_b,
+            options=MultiplyOptions(config=small_config, dynamic_conversion=False),
         )
         assert report.conversions == 0
         np.testing.assert_allclose(result.to_dense(), a @ b, atol=1e-10)
@@ -99,21 +106,25 @@ class TestReport:
 class TestMemoryLimit:
     def test_generous_limit_keeps_result_exact(self, workload, small_config):
         a, b, at_a, at_b = workload
-        unlimited, _ = atmult(at_a, at_b, config=small_config)
+        unlimited, _ = atmult(at_a, at_b, options=MultiplyOptions(config=small_config))
         limit = unlimited.memory_bytes() * 2.0
         result, report = atmult(
-            at_a, at_b, config=small_config, memory_limit_bytes=limit
+            at_a,
+            at_b,
+            options=MultiplyOptions(config=small_config, memory_limit_bytes=limit),
         )
         np.testing.assert_allclose(result.to_dense(), a @ b, atol=1e-10)
         assert report.water_level is not None
 
     def test_tight_limit_produces_sparser_layout(self, workload, small_config):
         a, b, at_a, at_b = workload
-        unlimited, _ = atmult(at_a, at_b, config=small_config)
+        unlimited, _ = atmult(at_a, at_b, options=MultiplyOptions(config=small_config))
         # Force the all-sparse layout: limit just above the sparse size.
         sparse_size = unlimited.to_csr().memory_bytes()
         result, report = atmult(
-            at_a, at_b, config=small_config, memory_limit_bytes=sparse_size * 1.05
+            at_a,
+            at_b,
+            options=MultiplyOptions(config=small_config, memory_limit_bytes=sparse_size * 1.05),
         )
         np.testing.assert_allclose(result.to_dense(), a @ b, atol=1e-10)
         assert result.memory_bytes() <= sparse_size * 1.05
@@ -122,18 +133,24 @@ class TestMemoryLimit:
     def test_impossible_limit_raises(self, workload, small_config):
         _, _, at_a, at_b = workload
         with pytest.raises(MemoryLimitError):
-            atmult(at_a, at_b, config=small_config, memory_limit_bytes=16.0)
+            atmult(
+                at_a,
+                at_b,
+                options=MultiplyOptions(config=small_config, memory_limit_bytes=16.0),
+            )
 
     def test_limit_is_a_hard_guarantee(self, workload, small_config):
         """Even when the density estimate is off, the repair pass holds
         the SLA exactly (not just in estimation)."""
         a, b, at_a, at_b = workload
-        unlimited, _ = atmult(at_a, at_b, config=small_config)
+        unlimited, _ = atmult(at_a, at_b, options=MultiplyOptions(config=small_config))
         sparse_floor = unlimited.to_csr().memory_bytes()
         for slack in (1.01, 1.2, 1.5):
             limit = sparse_floor * slack
             result, _ = atmult(
-                at_a, at_b, config=small_config, memory_limit_bytes=limit
+                at_a,
+                at_b,
+                options=MultiplyOptions(config=small_config, memory_limit_bytes=limit),
             )
             assert result.memory_bytes() <= limit
             np.testing.assert_allclose(result.to_dense(), a @ b, atol=1e-10)
@@ -142,7 +159,7 @@ class TestMemoryLimit:
         from repro.core.atmult import enforce_memory_limit
 
         _, _, at_a, at_b = workload
-        result, _ = atmult(at_a, at_b, config=small_config)
+        result, _ = atmult(at_a, at_b, options=MultiplyOptions(config=small_config))
         dense_tiles = [t for t in result.tiles if t.kind is StorageKind.DENSE]
         if not dense_tiles:
             pytest.skip("workload produced no dense result tiles")
@@ -187,7 +204,9 @@ class TestMixedGranularity:
             SystemConfig(llc_bytes=8 * 1024, b_atomic=block_b),
         )
         result, _ = atmult(
-            a, b, config=SystemConfig(llc_bytes=8 * 1024, b_atomic=block_mult)
+            a,
+            b,
+            options=MultiplyOptions(config=SystemConfig(llc_bytes=8 * 1024, b_atomic=block_mult)),
         )
         np.testing.assert_allclose(result.to_dense(), array @ array, atol=1e-9)
 
@@ -205,5 +224,5 @@ class TestAtmultProperties:
         b = random_sparse_array(rng, k, n, float(rng.uniform(0.0, 0.5)))
         at_a = build_at_matrix(COOMatrix.from_dense(a), config)
         at_b = build_at_matrix(COOMatrix.from_dense(b), config)
-        result, _ = atmult(at_a, at_b, config=config)
+        result, _ = atmult(at_a, at_b, options=MultiplyOptions(config=config))
         np.testing.assert_allclose(result.to_dense(), a @ b, atol=1e-9)

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import COOMatrix, SystemConfig, build_at_matrix, multiply_chain, plan_chain
+from repro import (
+    COOMatrix,
+    MultiplyOptions,
+    SystemConfig,
+    build_at_matrix,
+    multiply_chain,
+    plan_chain,
+)
 from repro.errors import ShapeError
 
 from ..conftest import as_csr, random_sparse_array
@@ -63,26 +70,31 @@ class TestExecution:
         b = random_sparse_array(rng, 30, 10, 0.4)
         c = random_sparse_array(rng, 10, 25, 0.3)
         result, plan = multiply_chain(
-            [build(a), build(b), build(c)], config=CONFIG
+            [build(a), build(b), build(c)],
+            options=MultiplyOptions(config=CONFIG),
         )
         np.testing.assert_allclose(result.to_dense(), a @ b @ c, atol=1e-9)
         assert len(plan.order) == 2
 
     def test_plain_operands_accepted(self, rng):
         a = random_sparse_array(rng, 12, 12, 0.4)
-        result, _ = multiply_chain([as_csr(a), as_csr(a), as_csr(a)], config=CONFIG)
+        result, _ = multiply_chain(
+            [as_csr(a), as_csr(a), as_csr(a)],
+            options=MultiplyOptions(config=CONFIG),
+        )
         np.testing.assert_allclose(result.to_dense(), a @ a @ a, atol=1e-9)
 
     def test_single_operand_passthrough(self, rng):
         a = random_sparse_array(rng, 12, 12, 0.4)
-        result, plan = multiply_chain([build(a)], config=CONFIG)
+        result, plan = multiply_chain([build(a)], options=MultiplyOptions(config=CONFIG))
         np.testing.assert_allclose(result.to_dense(), a)
         assert plan.order == ()
 
     def test_memory_limit_propagated(self, rng):
         a = random_sparse_array(rng, 24, 24, 0.3)
         result, _ = multiply_chain(
-            [build(a), build(a)], config=CONFIG, memory_limit_bytes=1e9
+            [build(a), build(a)],
+            options=MultiplyOptions(config=CONFIG, memory_limit_bytes=1e9),
         )
         np.testing.assert_allclose(result.to_dense(), a @ a, atol=1e-9)
 
@@ -97,7 +109,10 @@ class TestChainProperties:
             random_sparse_array(rng, dims[i], dims[i + 1], 0.35)
             for i in range(length)
         ]
-        result, _ = multiply_chain([build(x) for x in arrays], config=CONFIG)
+        result, _ = multiply_chain(
+            [build(x) for x in arrays],
+            options=MultiplyOptions(config=CONFIG),
+        )
         expected = arrays[0]
         for array in arrays[1:]:
             expected = expected @ array

@@ -1,4 +1,4 @@
-"""BaseReport: canonical phase dict, deprecated aliases, kwarg parity."""
+"""BaseReport: canonical phase dict, subclass shapes, keyword parity."""
 
 from __future__ import annotations
 
@@ -7,19 +7,8 @@ import json
 
 import pytest
 
-from repro import BaseReport, MultiplyReport, ParallelReport, atmult, multiply
+from repro import BaseReport, MultiplyReport, ParallelReport, atmult
 from repro.core.parallel import parallel_atmult
-
-#: keywords the API-alignment redesign guarantees on every multiply entry point
-ALIGNED_KEYWORDS = {
-    "config",
-    "cost_model",
-    "memory_limit_bytes",
-    "dynamic_conversion",
-    "use_estimation",
-    "resilience",
-    "observer",
-}
 
 
 class TestBaseReport:
@@ -55,36 +44,10 @@ class TestBaseReport:
         assert payload["observed"] is False
 
 
-class TestDeprecatedAliases:
-    def test_aliases_read_through_phase_seconds(self):
-        report = BaseReport(phase_seconds={"estimate": 1.0, "optimize": 2.0})
-        assert report.estimate_seconds == 1.0
-        assert report.optimize_seconds == 2.0
-        assert report.multiply_seconds == 0.0
-
-    def test_aliases_write_through_phase_seconds(self):
-        report = BaseReport()
-        report.estimate_seconds = 1.0
-        report.optimize_seconds = 2.0
-        report.multiply_seconds = 3.0
-        assert report.phase_seconds == {
-            "estimate": 1.0,
-            "optimize": 2.0,
-            "multiply": 3.0,
-        }
-
-    def test_augmented_assignment_stays_consistent(self):
-        # legacy call sites do `report.estimate_seconds += dt`
-        report = MultiplyReport()
-        report.estimate_seconds += 0.25
-        report.estimate_seconds += 0.25
-        assert report.phase_seconds["estimate"] == pytest.approx(0.5)
-        assert report.estimate_fraction == 1.0
-
-    def test_parallel_wall_seconds_alias(self):
+class TestParallelEfficiency:
+    def test_efficiency_over_multiply_phase(self):
         report = ParallelReport(workers=2)
-        report.wall_seconds = 4.0
-        assert report.phase_seconds["multiply"] == 4.0
+        report.add_phase("multiply", 4.0)
         report.worker_busy_seconds = {"team0-0": 3.0, "team1-0": 3.0}
         assert report.parallel_efficiency == pytest.approx(6.0 / 8.0)
 
@@ -111,33 +74,20 @@ class TestSubclassShapes:
 
 
 class TestKeywordParity:
-    """The redesign aligns keyword surfaces across the multiply entry points."""
+    """Every multiply entry point is configured by ``options`` alone."""
 
     def test_atmult_and_parallel_share_aligned_keywords(self):
-        atmult_kwargs = set(inspect.signature(atmult).parameters)
-        parallel_kwargs = set(inspect.signature(parallel_atmult).parameters)
-        assert ALIGNED_KEYWORDS <= atmult_kwargs
-        assert ALIGNED_KEYWORDS <= parallel_kwargs
+        def keyword_only(function):
+            return {
+                name
+                for name, parameter in inspect.signature(function).parameters.items()
+                if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+            }
+
+        assert keyword_only(atmult) == {"options"}
+        assert keyword_only(parallel_atmult) == {"options", "topology"}
         # documented intentional divergence: only atmult seeds C, only
         # parallel_atmult takes a topology
-        assert "c" in atmult_kwargs and "c" not in parallel_kwargs
-        assert "topology" in parallel_kwargs and "topology" not in atmult_kwargs
-
-    def test_multiply_forwards_full_keyword_set(self, rng, small_config):
-        from repro import COOMatrix, build_at_matrix
-        from ..conftest import heterogeneous_array
-
-        array = heterogeneous_array(rng, 64, 64, background=0.05)
-        matrix = build_at_matrix(COOMatrix.from_dense(array), small_config)
-        with pytest.warns(DeprecationWarning):
-            result, _ = multiply(
-                matrix,
-                matrix,
-                config=small_config,
-                memory_limit_bytes=None,
-                dynamic_conversion=True,
-                use_estimation=True,
-                resilience=None,
-                observer=None,
-            )
-        assert result.shape == (64, 64)
+        atmult_params = set(inspect.signature(atmult).parameters)
+        assert "c" in atmult_params
+        assert "c" not in set(inspect.signature(parallel_atmult).parameters)

@@ -13,7 +13,7 @@ must hold.
 import numpy as np
 import pytest
 
-from repro import COOMatrix, SystemConfig, build_at_matrix
+from repro import COOMatrix, MultiplyOptions, SystemConfig, build_at_matrix
 from repro.core.atmult import atmult
 from repro.core.parallel import parallel_atmult
 from repro.errors import RetryExhaustedError, TaskFailedError
@@ -53,7 +53,7 @@ def square_operand():
 @pytest.fixture(scope="module")
 def clean_result(operands):
     a, b = operands
-    result, _ = atmult(a, b, config=CONFIG)
+    result, _ = atmult(a, b, options=MultiplyOptions(config=CONFIG))
     return result.to_dense()
 
 
@@ -65,7 +65,10 @@ class TestAcceptanceCriterion:
         plan = FaultPlan(2, kernel_error_rate=0.12)
         with inject_faults(plan):
             result, report = parallel_atmult(
-                a, b, topology=TOPOLOGY, config=CONFIG, resilience=FAST_RETRIES
+                a,
+                b,
+                topology=TOPOLOGY,
+                options=MultiplyOptions(config=CONFIG, resilience=FAST_RETRIES),
             )
         injected = plan.count(FaultKind.KERNEL_ERROR)
         assert injected >= 0.10 * report.products  # >= 10% of tile products
@@ -80,7 +83,10 @@ class TestAcceptanceCriterion:
         plan = FaultPlan(seed, kernel_error_rate=0.12)
         with inject_faults(plan):
             result, report = parallel_atmult(
-                a, b, topology=TOPOLOGY, config=CONFIG, resilience=FAST_RETRIES
+                a,
+                b,
+                topology=TOPOLOGY,
+                options=MultiplyOptions(config=CONFIG, resilience=FAST_RETRIES),
             )
         failure = report.failure
         assert plan.raising_count == (
@@ -92,7 +98,11 @@ class TestAcceptanceCriterion:
         a, b = operands
         plan = FaultPlan(2, kernel_error_rate=0.12)
         with inject_faults(plan):
-            result, report = atmult(a, b, config=CONFIG, resilience=FAST_RETRIES)
+            result, report = atmult(
+                a,
+                b,
+                options=MultiplyOptions(config=CONFIG, resilience=FAST_RETRIES),
+            )
         assert np.array_equal(result.to_dense(), clean_result)
         assert report.failure.retries == plan.raising_count
 
@@ -102,7 +112,7 @@ class TestExhaustion:
         a, b = operands
         plan = FaultPlan(0, kernel_error_rate=1.0)
         with inject_faults(plan), pytest.raises(RetryExhaustedError) as excinfo:
-            atmult(a, b, config=CONFIG, resilience=FAST_RETRIES)
+            atmult(a, b, options=MultiplyOptions(config=CONFIG, resilience=FAST_RETRIES))
         pair = excinfo.value.pair
         assert isinstance(pair, tuple) and len(pair) == 2
         assert excinfo.value.attempts == FAST_RETRIES.max_attempts
@@ -112,7 +122,10 @@ class TestExhaustion:
         plan = FaultPlan(0, kernel_error_rate=1.0)
         with inject_faults(plan), pytest.raises(TaskFailedError) as excinfo:
             parallel_atmult(
-                a, b, topology=TOPOLOGY, config=CONFIG, resilience=FAST_RETRIES
+                a,
+                b,
+                topology=TOPOLOGY,
+                options=MultiplyOptions(config=CONFIG, resilience=FAST_RETRIES),
             )
         error = excinfo.value
         assert error.pair_errors
@@ -130,7 +143,7 @@ class TestPartialFailureWithoutResilience:
         a, b = operands
         plan = FaultPlan(2, kernel_error_rate=0.12)
         with inject_faults(plan), pytest.raises(TaskFailedError) as excinfo:
-            parallel_atmult(a, b, topology=TOPOLOGY, config=CONFIG)
+            parallel_atmult(a, b, topology=TOPOLOGY, options=MultiplyOptions(config=CONFIG))
         error = excinfo.value
         assert len(error.pair_errors) == plan.raising_count
         # busy-time statistics for healthy pairs are not lost
@@ -141,7 +154,12 @@ class TestPartialFailureWithoutResilience:
 
     def test_clean_run_unaffected(self, operands, clean_result):
         a, b = operands
-        result, report = parallel_atmult(a, b, topology=TOPOLOGY, config=CONFIG)
+        result, report = parallel_atmult(
+            a,
+            b,
+            topology=TOPOLOGY,
+            options=MultiplyOptions(config=CONFIG),
+        )
         assert np.array_equal(result.to_dense(), clean_result)
         assert report.failure.clean
 
@@ -150,7 +168,7 @@ class TestMemoryPressureDegradation:
     def test_degradation_respects_memory_limit(self, square_operand):
         a = square_operand
         topo = SystemTopology(sockets=2, cores_per_socket=1)
-        unlimited, _ = parallel_atmult(a, a, topology=topo, config=CONFIG)
+        unlimited, _ = parallel_atmult(a, a, topology=topo, options=MultiplyOptions(config=CONFIG))
         limit = unlimited.to_csr().memory_bytes() * 1.05
         for seed in (0, 1, 2):
             plan = FaultPlan(seed, memory_pressure_rate=0.05)
@@ -159,9 +177,9 @@ class TestMemoryPressureDegradation:
                     a,
                     a,
                     topology=topo,
-                    config=CONFIG,
-                    memory_limit_bytes=limit,
-                    resilience=FAST_RETRIES,
+                    options=MultiplyOptions(
+                        config=CONFIG, memory_limit_bytes=limit, resilience=FAST_RETRIES
+                    ),
                 )
             assert result.memory_bytes() <= limit
             assert np.allclose(
@@ -177,11 +195,14 @@ class TestCorruptionGuard:
     def test_corrupted_tiles_fall_back_to_reference(self, square_operand):
         a = square_operand
         topo = SystemTopology(sockets=2, cores_per_socket=1)
-        clean, _ = atmult(a, a, config=CONFIG)
+        clean, _ = atmult(a, a, options=MultiplyOptions(config=CONFIG))
         plan = FaultPlan(3, corruption_rate=0.04)
         with inject_faults(plan):
             result, report = parallel_atmult(
-                a, a, topology=topo, config=CONFIG, resilience=FAST_RETRIES
+                a,
+                a,
+                topology=topo,
+                options=MultiplyOptions(config=CONFIG, resilience=FAST_RETRIES),
             )
         assert np.isfinite(result.to_dense()).all()
         assert np.array_equal(result.to_dense(), clean.to_dense())

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro import COOMatrix, SystemConfig, atmult, build_at_matrix, retile
+from repro import COOMatrix, MultiplyOptions, SystemConfig, atmult, build_at_matrix, retile
 from repro.core.retile import align_to_operand, split_tiles_at_cols
 
 from ..conftest import heterogeneous_array, random_sparse_array
@@ -55,7 +55,7 @@ class TestAlignToOperand:
         for tile in aligned.tiles:
             for cut in b_cuts:
                 assert not (tile.col0 < cut < tile.col1)
-        result, _ = atmult(aligned, b, config=CONFIG)
+        result, _ = atmult(aligned, b, options=MultiplyOptions(config=CONFIG))
         np.testing.assert_allclose(result.to_dense(), a_array @ b_array, atol=1e-9)
 
     def test_aligned_result_matches_unaligned(self, rng):
@@ -63,8 +63,8 @@ class TestAlignToOperand:
         b_array = heterogeneous_array(rng, 80, 48)
         a = build_at_matrix(COOMatrix.from_dense(a_array), CONFIG)
         b = build_at_matrix(COOMatrix.from_dense(b_array), CONFIG)
-        plain, _ = atmult(a, b, config=CONFIG)
-        aligned, _ = atmult(align_to_operand(a, b), b, config=CONFIG)
+        plain, _ = atmult(a, b, options=MultiplyOptions(config=CONFIG))
+        aligned, _ = atmult(align_to_operand(a, b), b, options=MultiplyOptions(config=CONFIG))
         np.testing.assert_allclose(aligned.to_dense(), plain.to_dense(), atol=1e-9)
 
 
@@ -98,7 +98,7 @@ class TestTranspose:
     def test_transpose_usable_in_atmult(self, rng):
         array = heterogeneous_array(rng, 60, 40)
         at = build_at_matrix(COOMatrix.from_dense(array), CONFIG)
-        gram, _ = atmult(at.transpose(), at, config=CONFIG)
+        gram, _ = atmult(at.transpose(), at, options=MultiplyOptions(config=CONFIG))
         np.testing.assert_allclose(gram.to_dense(), array.T @ array, atol=1e-9)
 
     def test_transpose_preserves_kinds(self, rng):

@@ -12,6 +12,7 @@ from repro import (
     MultiplyOptions,
     Session,
     SystemConfig,
+    atmult,
     build_at_matrix,
     build_chain_plan,
     multiply_chain,
@@ -44,6 +45,16 @@ def sparse_chain(rng: np.random.Generator, dims: list[int], density: float = 0.1
     ]
 
 
+def per_hop_baseline(operands, order):
+    """The chain computed hop by hop with plain ``atmult`` in ``order``."""
+    results = {(i, i): operand for i, operand in enumerate(operands)}
+    for i, k, j in order:
+        results[(i, j)], _ = atmult(
+            results[(i, k)], results[(k + 1, j)], options=OPTIONS
+        )
+    return results[(0, len(operands) - 1)]
+
+
 def dense_reference(operands) -> np.ndarray:
     result = operands[0].to_dense()
     for operand in operands[1:]:
@@ -52,20 +63,22 @@ def dense_reference(operands) -> np.ndarray:
 
 
 class TestFusedParity:
-    """Fused execution must be bit-identical to per-hop multiply_chain."""
+    """Fused execution must be bit-identical to per-hop ``atmult``."""
 
     @pytest.mark.parametrize("dims", [[48, 32, 40], [64, 48, 80, 32, 40]])
     def test_all_sparse_chain_parity(self, rng, dims):
         operands = sparse_chain(rng, dims)
-        baseline, baseline_report = multiply_chain(list(operands), options=OPTIONS)
-        assert not baseline_report.fused  # no cache: legacy per-hop loop
+        uncached, uncached_report = multiply_chain(list(operands), options=OPTIONS)
+        assert not uncached_report.fused  # no cache: the cold path
 
         session = Session(config=CONFIG)
         cold, cold_report = session.multiply_chain(list(operands))
         warm, warm_report = session.multiply_chain(list(operands))
         assert not cold_report.plan_cache_hit
         assert warm_report.fused and warm_report.plan_cache_hit
-        assert baseline_report.order == cold_report.order == warm_report.order
+        assert uncached_report.order == cold_report.order == warm_report.order
+        baseline = per_hop_baseline(operands, cold_report.order)
+        assert np.array_equal(baseline.to_dense(), uncached.to_dense())
         assert np.array_equal(baseline.to_dense(), cold.to_dense())
         assert np.array_equal(baseline.to_dense(), warm.to_dense())
         np.testing.assert_allclose(
@@ -90,10 +103,10 @@ class TestFusedParity:
             length = int(rng.integers(2, 5))
             dims = [int(d) for d in rng.integers(2, 6, size=length + 1) * 16]
             operands = sparse_chain(rng, dims, density=0.2)
-            baseline, _ = multiply_chain(list(operands), options=OPTIONS)
             session = Session(config=CONFIG)
-            session.multiply_chain(list(operands))
+            _, cold_report = session.multiply_chain(list(operands))
             warm, warm_report = session.multiply_chain(list(operands))
+            baseline = per_hop_baseline(operands, cold_report.order)
             assert warm_report.plan_cache_hit
             assert np.array_equal(baseline.to_dense(), warm.to_dense())
 
@@ -140,13 +153,20 @@ class TestChainCache:
 
     def test_ineligible_options_fall_back_to_legacy_loop(self, rng):
         operands = sparse_chain(rng, [48, 32, 40])
-        # A memory limit disqualifies fusion (enforcement is per-hop).
-        opts = MultiplyOptions(config=CONFIG, memory_limit_bytes=float("inf"))
-        result, report = multiply_chain(list(operands), options=opts)
-        assert isinstance(report, ChainReport)
-        assert not report.fused and not report.plan_cache_hit
-        np.testing.assert_allclose(
-            result.to_dense(), dense_reference(operands), atol=1e-10
+        # A memory limit disqualifies fusion (enforcement is per-hop): even
+        # with a plan cache, every run takes the hop-by-hop cold path.
+        session = Session(
+            options=MultiplyOptions(config=CONFIG, memory_limit_bytes=float("inf"))
+        )
+        for _ in range(2):
+            result, report = session.multiply_chain(list(operands))
+            assert isinstance(report, ChainReport)
+            assert not report.fused and not report.plan_cache_hit
+            np.testing.assert_allclose(
+                result.to_dense(), dense_reference(operands), atol=1e-10
+            )
+        assert not any(
+            isinstance(key, ChainKey) for key in session.plan_cache._plans
         )
 
 
@@ -233,18 +253,6 @@ class TestPlanChainFixes:
 
 
 class TestDeprecations:
-    def test_multiply_chain_context_params_warn(self, rng):
-        operands = sparse_chain(rng, [48, 32])
-        with pytest.warns(DeprecationWarning, match="config"):
-            multiply_chain(list(operands), config=CONFIG)
-
-    def test_evaluate_context_params_warn(self, rng):
-        from repro.expr import M
-
-        operand = sparse_chain(rng, [48, 32])[0]
-        with pytest.warns(DeprecationWarning, match="config"):
-            (2.0 * M(operand)).evaluate(config=CONFIG)
-
     def test_session_front_door_does_not_warn(self, rng):
         import warnings
 
@@ -266,7 +274,7 @@ class TestSolverPinning:
         rhs = rng.random(n)
 
         session = Session(config=CONFIG)
-        outcome = session.conjugate_gradient(matrix, rhs, tolerance=1e-10)
+        outcome = session.solve(matrix, rhs, method="cg", tolerance=1e-10)
         assert outcome.converged and outcome.iterations >= 3
         stats = session.cache_stats()
         assert stats.hit_rate > 0

@@ -1,4 +1,4 @@
-"""MultiplyOptions and the legacy-keyword coercion helper."""
+"""MultiplyOptions: the one way to configure a multiply entry point."""
 
 from __future__ import annotations
 
@@ -9,16 +9,30 @@ import pytest
 
 from repro import (
     COOMatrix,
+    CostModel,
     MultiplyOptions,
+    PlanCache,
+    Session,
     atmult,
     build_at_matrix,
-    multiply,
+    multiply_chain,
     parallel_atmult,
 )
-from repro.engine.options import UNSET, coerce_options
 from repro.topology import SystemTopology
 
 from ..conftest import heterogeneous_array
+
+#: keywords the entry points accepted before 2.0; each is now a TypeError
+REMOVED_KEYWORDS = (
+    "config",
+    "cost_model",
+    "plan_cache",
+    "memory_limit_bytes",
+    "dynamic_conversion",
+    "use_estimation",
+    "resilience",
+    "observer",
+)
 
 
 @pytest.fixture
@@ -29,139 +43,45 @@ def operands(rng, small_config):
 
 
 class TestCoercion:
-    def test_defaults_pass_through(self):
-        opts = coerce_options(None, where="atmult")
-        assert opts == MultiplyOptions()
+    def test_defaults_pass_through(self, operands):
+        _, matrix = operands
+        implicit, _ = atmult(matrix, matrix)
+        explicit, _ = atmult(matrix, matrix, options=MultiplyOptions())
+        assert np.array_equal(implicit.to_dense(), explicit.to_dense())
 
-    def test_options_instance_is_used_verbatim(self):
-        base = MultiplyOptions(use_estimation=False)
-        assert coerce_options(base, where="atmult") is base
+    def test_options_instance_is_used_verbatim(self, operands, small_config):
+        _, matrix = operands
+        cache = PlanCache()
+        options = MultiplyOptions(config=small_config, plan_cache=cache)
+        atmult(matrix, matrix, options=options)
+        atmult(matrix, matrix, options=options)
+        stats = cache.stats()
+        assert (stats.misses, stats.hits, stats.entries) == (1, 1, 1)
 
-    def test_legacy_keyword_overrides_options_field(self):
-        base = MultiplyOptions(use_estimation=True)
-        with pytest.warns(DeprecationWarning):
-            opts = coerce_options(base, where="atmult", use_estimation=False)
-        assert opts.use_estimation is False
-
-    def test_unset_legacy_keyword_keeps_options_field(self):
-        base = MultiplyOptions(use_estimation=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            opts = coerce_options(base, where="atmult", use_estimation=UNSET)
-        assert opts.use_estimation is False
-
-    def test_unknown_keyword_raises_type_error(self):
-        with pytest.raises(TypeError, match="atmult"):
-            coerce_options(None, where="atmult", bogus=1)
+    def test_unknown_keyword_raises_type_error(self, operands):
+        _, matrix = operands
+        topology = SystemTopology(sockets=2, cores_per_socket=1)
+        for keyword in (*REMOVED_KEYWORDS, "bogus"):
+            with pytest.raises(TypeError, match=keyword):
+                atmult(matrix, matrix, **{keyword: None})
+            with pytest.raises(TypeError, match=keyword):
+                parallel_atmult(matrix, matrix, topology=topology, **{keyword: None})
+            with pytest.raises(TypeError, match=keyword):
+                multiply_chain([matrix, matrix], **{keyword: None})
 
     def test_config_and_cost_model_fold_in_silently(self, small_config):
+        model = CostModel()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            opts = coerce_options(None, where="atmult", config=small_config)
-        assert opts.config is small_config
+            session = Session(config=small_config, cost_model=model)
+        assert session.options.config is small_config
+        assert session.options.cost_model is model
+        assert session.options.plan_cache is not None
 
 
 class TestOneConsolidatedWarning:
-    def test_atmult_emits_exactly_one_deprecation_warning(self, operands, small_config):
-        _, matrix = operands
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            atmult(
-                matrix,
-                matrix,
-                config=small_config,
-                memory_limit_bytes=None,
-                use_estimation=True,
-                dynamic_conversion=True,
-            )
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        message = str(deprecations[0].message)
-        # One warning naming every supplied keyword, not one per keyword.
-        assert "atmult()" in message
-        assert "memory_limit_bytes" in message
-        assert "use_estimation" in message
-        assert "dynamic_conversion" in message
-
     def test_options_only_call_is_warning_free(self, operands, small_config):
         _, matrix = operands
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             atmult(matrix, matrix, options=MultiplyOptions(config=small_config))
-
-    def test_parallel_atmult_warns_once_and_names_itself(self, operands, small_config):
-        _, matrix = operands
-        topology = SystemTopology(sockets=2, cores_per_socket=1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            parallel_atmult(
-                matrix, matrix, topology=topology, config=small_config, workers=2
-            )
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "parallel_atmult()" in str(deprecations[0].message)
-
-
-class TestLegacyParity:
-    def test_legacy_kwargs_bit_identical_to_options(self, operands, small_config):
-        array, matrix = operands
-        with pytest.warns(DeprecationWarning):
-            legacy_result, legacy_report = atmult(
-                matrix,
-                matrix,
-                config=small_config,
-                memory_limit_bytes=None,
-                dynamic_conversion=True,
-                use_estimation=True,
-            )
-        options_result, options_report = atmult(
-            matrix,
-            matrix,
-            options=MultiplyOptions(
-                config=small_config,
-                memory_limit_bytes=None,
-                dynamic_conversion=True,
-                use_estimation=True,
-            ),
-        )
-        assert np.array_equal(
-            legacy_result.to_dense(), options_result.to_dense()
-        )
-        assert legacy_result.nnz == options_result.nnz
-        assert legacy_report.kernel_counts == options_report.kernel_counts
-        assert legacy_report.write_threshold == options_report.write_threshold
-
-    def test_ablated_legacy_matches_ablated_options(self, operands, small_config):
-        _, matrix = operands
-        with pytest.warns(DeprecationWarning):
-            legacy_result, _ = atmult(
-                matrix, matrix, config=small_config, use_estimation=False
-            )
-        options_result, _ = atmult(
-            matrix,
-            matrix,
-            options=MultiplyOptions(config=small_config, use_estimation=False),
-        )
-        assert np.array_equal(
-            legacy_result.to_dense(), options_result.to_dense()
-        )
-
-
-class TestMultiplyReturnShape:
-    def test_multiply_returns_result_and_report(self, operands, small_config):
-        array, matrix = operands
-        result, report = multiply(matrix, matrix, config=small_config)
-        np.testing.assert_allclose(result.to_dense(), array @ array, atol=1e-10)
-        assert report.total_seconds >= 0
-
-    def test_result_only_shape_is_deprecated(self, operands, small_config):
-        array, matrix = operands
-        with pytest.warns(DeprecationWarning, match="return_report"):
-            result = multiply(
-                matrix, matrix, config=small_config, return_report=False
-            )
-        np.testing.assert_allclose(result.to_dense(), array @ array, atol=1e-10)

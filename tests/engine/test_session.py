@@ -37,7 +37,7 @@ class TestSessionBasics:
     def test_session_owns_a_cache(self, config):
         session = Session(config=config)
         assert session.plan_cache is not None
-        assert session.cache_stats()["entries"] == 0
+        assert session.cache_stats().entries == 0
 
     def test_multiply_through_session_reuses_plan(self, rng, config):
         array = spd_system(rng, 64)
@@ -47,7 +47,7 @@ class TestSessionBasics:
         second, _ = session.multiply(matrix, matrix)
         assert np.array_equal(first.to_dense(), second.to_dense())
         stats = session.cache_stats()
-        assert stats["misses"] == 1 and stats["hits"] == 1
+        assert stats.misses == 1 and stats.hits == 1
 
     def test_matvec_matches_numpy(self, rng, config):
         array = spd_system(rng, 48)
@@ -63,7 +63,7 @@ class TestSolverPlanReuse:
         matrix = build_at_matrix(COOMatrix.from_dense(array), config)
         rhs = rng.random(64)
         session = Session(config=config)
-        outcome = session.conjugate_gradient(matrix, rhs, tolerance=1e-8)
+        outcome = session.solve(matrix, rhs, method="cg", tolerance=1e-8)
         assert outcome.converged
         assert outcome.iterations >= 2
         stats = session.cache_stats()
@@ -71,10 +71,10 @@ class TestSolverPlanReuse:
         # one per-hop plan miss); iteration 2's single hit pins it, and
         # iterations 3..N replay the pinned plan without probing the
         # cache at all — far fewer lookups than iterations.
-        assert stats["hits"] == 1
-        assert stats["misses"] == 2
+        assert stats.hits == 1
+        assert stats.misses == 2
         assert stats.hit_rate > 0
-        assert stats["hits"] < outcome.iterations
+        assert stats.hits < outcome.iterations
 
     def test_cg_estimates_and_optimizes_exactly_once(self, rng, config):
         array = spd_system(rng, 64)
@@ -90,7 +90,10 @@ class TestSolverPlanReuse:
 
         with observe() as obs:
             outcome = conjugate_gradient(
-                matrix, rhs, tolerance=1e-8, session=Session(config=config)
+                matrix,
+                rhs,
+                tolerance=1e-8,
+                options=Session(config=config).options,
             )
         assert outcome.converged and outcome.iterations >= 2
         names = [span.name for span in obs.tracer.spans()]
@@ -115,7 +118,10 @@ class TestSolverPlanReuse:
         rhs = rng.random(64)
         plain = conjugate_gradient(matrix, rhs, tolerance=1e-10)
         planned = conjugate_gradient(
-            matrix, rhs, tolerance=1e-10, session=Session(config=config)
+            matrix,
+            rhs,
+            tolerance=1e-10,
+            options=Session(config=config).options,
         )
         np.testing.assert_allclose(
             plain.solution, planned.solution, atol=1e-8
@@ -126,7 +132,7 @@ class TestSolverPlanReuse:
         matrix = build_at_matrix(COOMatrix.from_dense(array), config)
         rhs = rng.random(48)
         session = Session(config=config)
-        jacobi_outcome = jacobi(matrix, rhs, session=session, tolerance=1e-8)
+        jacobi_outcome = jacobi(matrix, rhs, tolerance=1e-8, options=session.options)
         assert jacobi_outcome.converged
         np.testing.assert_allclose(
             array @ jacobi_outcome.solution, rhs, atol=1e-5
@@ -134,10 +140,10 @@ class TestSolverPlanReuse:
         richardson_outcome = richardson(
             matrix,
             rhs,
-            session=session,
             omega=0.2,
             tolerance=1e-6,
             max_iterations=5000,
+            options=session.options,
         )
         assert richardson_outcome.converged
 
@@ -151,7 +157,10 @@ class TestWrapHoisting:
         rhs = rng.random(64)
         with observe() as obs:
             outcome = conjugate_gradient(
-                csr, rhs, tolerance=1e-8, session=Session(config=config)
+                csr,
+                rhs,
+                tolerance=1e-8,
+                options=Session(config=config).options,
             )
         assert outcome.converged and outcome.iterations >= 2
         # one wrap for the system matrix, regardless of iteration count

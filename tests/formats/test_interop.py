@@ -14,6 +14,7 @@ from repro.formats.interop import (
 )
 
 from ..conftest import random_sparse_array
+from repro import MultiplyOptions
 
 
 @pytest.fixture
@@ -68,6 +69,6 @@ class TestFromNumpy:
 
         config = SystemConfig(llc_bytes=8 * 1024, b_atomic=16)
         a = build_at_matrix(from_scipy(sp.csr_matrix(array)), config)
-        result, _ = atmult(a, a.transpose(), config=config)
+        result, _ = atmult(a, a.transpose(), options=MultiplyOptions(config=config))
         expected = (sp.csr_matrix(array) @ sp.csr_matrix(array).T).toarray()
         np.testing.assert_allclose(result.to_dense(), expected, atol=1e-9)

@@ -6,7 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from repro import COOMatrix, atmult, build_at_matrix, load_at_matrix, save_at_matrix
+from repro import (
+    COOMatrix,
+    MultiplyOptions,
+    atmult,
+    build_at_matrix,
+    load_at_matrix,
+    save_at_matrix,
+)
 from repro.errors import IntegrityError, ParseError
 from repro.kinds import StorageKind
 
@@ -58,7 +65,11 @@ class TestRoundTrip:
         path = tmp_path / "matrix.npz"
         save_at_matrix(at, path)
         loaded = load_at_matrix(path)
-        result, _ = atmult(loaded, loaded.transpose(), config=small_config)
+        result, _ = atmult(
+            loaded,
+            loaded.transpose(),
+            options=MultiplyOptions(config=small_config),
+        )
         np.testing.assert_allclose(result.to_dense(), array @ array.T, atol=1e-9)
 
     def test_empty_matrix(self, small_config, tmp_path):

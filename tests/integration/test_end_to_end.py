@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from repro import (
     COOMatrix,
     CostModel,
+    MultiplyOptions,
     SystemConfig,
     SystemTopology,
     WorkerTeamScheduler,
@@ -39,7 +40,7 @@ def test_self_multiplication_matches_scipy(key):
     oracle.sum_duplicates()
 
     at = build_at_matrix(staged, CONFIG)
-    result, report = atmult(at, at, config=CONFIG)
+    result, report = atmult(at, at, options=MultiplyOptions(config=CONFIG))
     got = result.to_csr()
 
     assert got.nnz == oracle.nnz
@@ -68,7 +69,7 @@ def test_mixed_sparse_dense_multiplication_on_suite():
     k = staged.cols
     dense_cols = 64
     dense = COOMatrix.from_dense(rng.random((k, dense_cols)))
-    result, _ = atmult(at, coo_to_csr(dense), config=CONFIG)
+    result, _ = atmult(at, coo_to_csr(dense), options=MultiplyOptions(config=CONFIG))
     expected = staged.to_dense() @ dense.to_dense()
     np.testing.assert_allclose(result.to_dense(), expected, rtol=1e-9, atol=1e-9)
 
@@ -85,7 +86,7 @@ def test_at_matrix_beats_baseline_on_power_network():
 
     at = build_at_matrix(staged, CONFIG)
     start = time.perf_counter()
-    atmult(at, at, config=CONFIG)
+    atmult(at, at, options=MultiplyOptions(config=CONFIG))
     tiled = time.perf_counter() - start
     assert tiled < baseline  # ATMULT must win on the dense-block topology
 
@@ -93,9 +94,13 @@ def test_at_matrix_beats_baseline_on_power_network():
 def test_memory_limited_pipeline():
     staged = load_matrix("R1")
     at = build_at_matrix(staged, CONFIG)
-    unlimited, _ = atmult(at, at, config=CONFIG)
+    unlimited, _ = atmult(at, at, options=MultiplyOptions(config=CONFIG))
     limit = unlimited.to_csr().memory_bytes() * 1.2
-    bounded, report = atmult(at, at, config=CONFIG, memory_limit_bytes=limit)
+    bounded, report = atmult(
+        at,
+        at,
+        options=MultiplyOptions(config=CONFIG, memory_limit_bytes=limit),
+    )
     assert bounded.memory_bytes() <= limit
     assert report.water_level is not None
     assert bounded.to_csr().nnz == unlimited.to_csr().nnz
@@ -106,7 +111,7 @@ def test_numa_schedule_from_real_run():
     staged = load_matrix("R2")
     topo = SystemTopology(sockets=2, cores_per_socket=2)
     at = distribute_tile_rows(build_at_matrix(staged, CONFIG), topo)
-    _, report = atmult(at, at, config=CONFIG)
+    _, report = atmult(at, at, options=MultiplyOptions(config=CONFIG))
     schedule = WorkerTeamScheduler(topo).run(report.tasks)
     assert schedule.tasks == len(report.tasks)
     assert schedule.makespan_seconds > 0

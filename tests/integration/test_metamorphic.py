@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import (
     COOMatrix,
+    MultiplyOptions,
     SystemConfig,
     add,
     atmult,
@@ -46,8 +47,8 @@ class TestAlgebraicIdentities:
         m, k, n = (int(v) for v in rng.integers(3, 40, 3))
         a, _ = random_at(rng, m, k)
         b, _ = random_at(rng, k, n)
-        left, _ = atmult(a, b, config=CONFIG)
-        right, _ = atmult(b.transpose(), a.transpose(), config=CONFIG)
+        left, _ = atmult(a, b, options=MultiplyOptions(config=CONFIG))
+        right, _ = atmult(b.transpose(), a.transpose(), options=MultiplyOptions(config=CONFIG))
         np.testing.assert_allclose(
             left.transpose().to_dense(), right.to_dense(), atol=1e-9
         )
@@ -60,8 +61,12 @@ class TestAlgebraicIdentities:
         n = int(rng.integers(3, 36))
         a, _ = random_at(rng, n, n)
         b, _ = random_at(rng, n, n)
-        scaled_first, _ = atmult(scale(a, alpha), scale(b, beta), config=CONFIG)
-        product, _ = atmult(a, b, config=CONFIG)
+        scaled_first, _ = atmult(
+            scale(a, alpha),
+            scale(b, beta),
+            options=MultiplyOptions(config=CONFIG),
+        )
+        product, _ = atmult(a, b, options=MultiplyOptions(config=CONFIG))
         scaled_after = scale(product, alpha * beta)
         np.testing.assert_allclose(
             scaled_first.to_dense(), scaled_after.to_dense(), atol=1e-9
@@ -76,9 +81,9 @@ class TestAlgebraicIdentities:
         a, _ = random_at(rng, n, n)
         b, _ = random_at(rng, n, n)
         c, _ = random_at(rng, n, n)
-        fused, _ = atmult(a, add(b, c), config=CONFIG)
-        ab, _ = atmult(a, b, config=CONFIG)
-        ac, _ = atmult(a, c, config=CONFIG)
+        fused, _ = atmult(a, add(b, c), options=MultiplyOptions(config=CONFIG))
+        ab, _ = atmult(a, b, options=MultiplyOptions(config=CONFIG))
+        ac, _ = atmult(a, c, options=MultiplyOptions(config=CONFIG))
         separate = add(ab, ac)
         np.testing.assert_allclose(
             fused.to_dense(), separate.to_dense(), atol=1e-8
@@ -93,12 +98,12 @@ class TestAlgebraicIdentities:
         a, _ = random_at(rng, dims[0], dims[1])
         b, _ = random_at(rng, dims[1], dims[2])
         c, _ = random_at(rng, dims[2], dims[3])
-        ab, _ = atmult(a, b, config=CONFIG)
-        left, _ = atmult(ab, c, config=CONFIG)
-        bc, _ = atmult(b, c, config=CONFIG)
-        right, _ = atmult(a, bc, config=CONFIG)
+        ab, _ = atmult(a, b, options=MultiplyOptions(config=CONFIG))
+        left, _ = atmult(ab, c, options=MultiplyOptions(config=CONFIG))
+        bc, _ = atmult(b, c, options=MultiplyOptions(config=CONFIG))
+        right, _ = atmult(a, bc, options=MultiplyOptions(config=CONFIG))
         np.testing.assert_allclose(left.to_dense(), right.to_dense(), atol=1e-8)
-        chained, _ = multiply_chain([a, b, c], config=CONFIG)
+        chained, _ = multiply_chain([a, b, c], options=MultiplyOptions(config=CONFIG))
         np.testing.assert_allclose(
             chained.to_dense(), left.to_dense(), atol=1e-8
         )
@@ -115,7 +120,7 @@ class TestAlgebraicIdentities:
             COOMatrix.from_dense(x.reshape(-1, 1)), CONFIG
         )
         via_mv = atmv(a, x)
-        via_mm, _ = atmult(a, column, config=CONFIG)
+        via_mm, _ = atmult(a, column, options=MultiplyOptions(config=CONFIG))
         np.testing.assert_allclose(
             via_mv, via_mm.to_dense().ravel(), atol=1e-9
         )
@@ -139,6 +144,6 @@ class TestAlgebraicIdentities:
         rng = np.random.default_rng(seed)
         m, k = (int(v) for v in rng.integers(3, 36, 2))
         a, _ = random_at(rng, m, k)
-        gram, _ = atmult(a.transpose(), a, config=CONFIG)
+        gram, _ = atmult(a.transpose(), a, options=MultiplyOptions(config=CONFIG))
         dense = gram.to_dense()
         np.testing.assert_allclose(dense, dense.T, atol=1e-9)

@@ -13,6 +13,7 @@ import pytest
 from repro import (
     COOMatrix,
     CostModel,
+    MultiplyOptions,
     SystemConfig,
     atmult,
     build_at_matrix,
@@ -94,7 +95,7 @@ class TestSectionIV:
         spspsp_gemm(csr, csr)
         baseline = time.perf_counter() - start
         start = time.perf_counter()
-        atmult(at, at, config=CONFIG)
+        atmult(at, at, options=MultiplyOptions(config=CONFIG))
         tiled = time.perf_counter() - start
         assert tiled < baseline / 1.5  # comfortably ahead, not a coin flip
 
@@ -103,7 +104,7 @@ class TestSectionIV:
         instances with less than 0.1% of ATMULT runtime negligible'
         (we allow 1% for the interpreted stack)."""
         _, _, at = r3
-        _, report = atmult(at, at, config=CONFIG)
+        _, report = atmult(at, at, options=MultiplyOptions(config=CONFIG))
         assert report.estimate_fraction < 0.01
 
     def test_claim_write_threshold_far_below_read_threshold(self):

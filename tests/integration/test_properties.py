@@ -3,8 +3,15 @@
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import COOMatrix, SystemConfig, atmult, build_at_matrix, fixed_grid_at_matrix
-from repro.core.atmult import as_at_matrix
+from repro import (
+    COOMatrix,
+    MultiplyOptions,
+    SystemConfig,
+    atmult,
+    build_at_matrix,
+    fixed_grid_at_matrix,
+)
+from repro.core.operands import as_at_matrix
 from repro.formats import coo_to_csr, coo_to_dense
 
 SETTINGS = settings(
@@ -43,7 +50,7 @@ class TestMultiplicationProperties:
         b = random_matrix(rng, k, n)
         at_a = build_at_matrix(COOMatrix.from_dense(a), config)
         at_b = build_at_matrix(COOMatrix.from_dense(b), config)
-        result, _ = atmult(at_a, at_b, config=config)
+        result, _ = atmult(at_a, at_b, options=MultiplyOptions(config=config))
         np.testing.assert_allclose(result.to_dense(), a @ b, atol=1e-9)
 
     @given(st.integers(0, 10_000))
@@ -56,8 +63,8 @@ class TestMultiplicationProperties:
         staged = COOMatrix.from_dense(a)
         adaptive = build_at_matrix(staged, config)
         fixed = fixed_grid_at_matrix(staged, config, mixed=True)
-        r1, _ = atmult(adaptive, adaptive, config=config)
-        r2, _ = atmult(fixed, fixed, config=config)
+        r1, _ = atmult(adaptive, adaptive, options=MultiplyOptions(config=config))
+        r2, _ = atmult(fixed, fixed, options=MultiplyOptions(config=config))
         np.testing.assert_allclose(r1.to_dense(), r2.to_dense(), atol=1e-9)
 
     @given(st.integers(0, 10_000))
@@ -76,7 +83,7 @@ class TestMultiplicationProperties:
         ]
         reference = None
         for va in variants:
-            result, _ = atmult(va, variants[0], config=config)
+            result, _ = atmult(va, variants[0], options=MultiplyOptions(config=config))
             dense = result.to_dense()
             if reference is None:
                 reference = dense
@@ -91,8 +98,8 @@ class TestMultiplicationProperties:
         n = int(rng.integers(4, 40))
         a = random_matrix(rng, n, n)
         at = build_at_matrix(COOMatrix.from_dense(a), config)
-        once, _ = atmult(at, at, config=config)
-        twice, _ = atmult(at, at, c=once, config=config)
+        once, _ = atmult(at, at, options=MultiplyOptions(config=config))
+        twice, _ = atmult(at, at, c=once, options=MultiplyOptions(config=config))
         np.testing.assert_allclose(twice.to_dense(), 2 * (a @ a), atol=1e-8)
 
 

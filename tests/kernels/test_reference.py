@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import COOMatrix, SystemConfig, atmult, build_at_matrix
+from repro import COOMatrix, MultiplyOptions, SystemConfig, atmult, build_at_matrix
 from repro.kernels.gemm import spspsp_gemm
 from repro.kernels.reference import gustavson_spsp, use_reference_kernels
 
@@ -55,9 +55,9 @@ class TestPlugIn:
         config = SystemConfig(llc_bytes=8 * 1024, b_atomic=16)
         array = heterogeneous_array(rng, 64, 64)
         at = build_at_matrix(COOMatrix.from_dense(array), config)
-        baseline, _ = atmult(at, at, config=config)
+        baseline, _ = atmult(at, at, options=MultiplyOptions(config=config))
         with use_reference_kernels():
-            plugged, report = atmult(at, at, config=config)
+            plugged, report = atmult(at, at, options=MultiplyOptions(config=config))
         np.testing.assert_allclose(
             plugged.to_dense(), baseline.to_dense(), atol=1e-10
         )

@@ -10,6 +10,7 @@ import pytest
 
 from repro import (
     COOMatrix,
+    MultiplyOptions,
     SystemTopology,
     atmult,
     build_at_matrix,
@@ -34,7 +35,10 @@ def traced_parallel_run(rng, small_config):
     topology = SystemTopology(sockets=4)
     with observe() as obs:
         result, report = parallel_atmult(
-            matrix, matrix, topology=topology, config=small_config
+            matrix,
+            matrix,
+            topology=topology,
+            options=MultiplyOptions(config=small_config),
         )
     return obs, report, result, array
 
@@ -170,7 +174,7 @@ class TestSequentialTrace:
         array = heterogeneous_array(rng, 64, 64, background=0.05)
         matrix = build_at_matrix(COOMatrix.from_dense(array), small_config)
         with observe() as obs:
-            _, report = atmult(matrix, matrix, config=small_config)
+            _, report = atmult(matrix, matrix, options=MultiplyOptions(config=small_config))
         names = {s.name for s in obs.tracer.spans()}
         assert {"estimate", "water_level", "pair", "optimize"} <= names
         assert report.observation is obs

@@ -116,8 +116,9 @@ class TestSequentialCancellation:
         token.cancel("never started")
         with pytest.raises(OperationCancelledError):
             atmult(
-                at_a, at_b, config=small_config,
-                options=MultiplyOptions(cancel=token),
+                at_a,
+                at_b,
+                options=MultiplyOptions(config=small_config, cancel=token),
             )
 
     def test_cancel_stops_within_one_pair_and_flushes(
@@ -129,8 +130,9 @@ class TestSequentialCancellation:
         store = CheckpointStore(tmp_path, resume=False)
         with pytest.raises(OperationCancelledError):
             atmult(
-                at_a, at_b, config=small_config,
-                options=MultiplyOptions(checkpoint=store, cancel=token),
+                at_a,
+                at_b,
+                options=MultiplyOptions(config=small_config, checkpoint=store, cancel=token),
             )
         journaled = sorted(tmp_path.glob("pairs/pair-*.npz"))
         assert len(journaled) == 3  # flushed before the error unwound
@@ -139,19 +141,21 @@ class TestSequentialCancellation:
         self, workload, small_config, tmp_path
     ):
         a, b, at_a, at_b = workload
-        baseline, _ = atmult(at_a, at_b, config=small_config)
+        baseline, _ = atmult(at_a, at_b, options=MultiplyOptions(config=small_config))
         with pytest.raises(OperationCancelledError):
             atmult(
-                at_a, at_b, config=small_config,
+                at_a, at_b,
                 options=MultiplyOptions(
+                    config=small_config,
                     checkpoint=CheckpointStore(tmp_path, resume=False),
                     cancel=CancelAfterPairs(2),
                 ),
             )
         resumed, report = atmult(
-            at_a, at_b, config=small_config,
+            at_a, at_b,
             options=MultiplyOptions(
-                checkpoint=CheckpointStore(tmp_path, resume=True)
+                config=small_config,
+                checkpoint=CheckpointStore(tmp_path, resume=True),
             ),
         )
         assert report.failure.pairs_resumed == 2
@@ -166,8 +170,9 @@ class TestSequentialCancellation:
         time.sleep(0.01)  # expire before the first pair boundary
         with pytest.raises(DeadlineExceededError):
             atmult(
-                at_a, at_b, config=small_config,
+                at_a, at_b,
                 options=MultiplyOptions(
+                    config=small_config,
                     checkpoint=CheckpointStore(tmp_path, resume=False),
                     cancel=token,
                 ),

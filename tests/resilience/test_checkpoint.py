@@ -34,8 +34,10 @@ def workload(rng, small_config):
 
 def run(at_a, at_b, config, directory, *, resume=False, flush=1):
     store = CheckpointStore(directory, resume=resume)
-    options = MultiplyOptions(checkpoint=store, checkpoint_flush_pairs=flush)
-    result, report = atmult(at_a, at_b, config=config, options=options)
+    options = MultiplyOptions(
+        config=config, checkpoint=store, checkpoint_flush_pairs=flush
+    )
+    result, report = atmult(at_a, at_b, options=options)
     return result, report, store
 
 
@@ -168,21 +170,19 @@ class TestParallelCheckpoint:
         a, b, at_a, at_b = workload
         topology = SystemTopology(sockets=2, cores_per_socket=1)
         store = CheckpointStore(tmp_path)
-        options = MultiplyOptions(checkpoint=store, checkpoint_flush_pairs=2)
+        options = MultiplyOptions(
+            config=small_config, checkpoint=store, checkpoint_flush_pairs=2
+        )
         first, first_report = parallel_atmult(
-            at_a, at_b, topology=topology, config=small_config, options=options
+            at_a, at_b, topology=topology, options=options
         )
         np.testing.assert_allclose(first.to_dense(), a @ b, atol=1e-10)
         assert store.records_written == first_report.pairs_executed > 0
 
         resume_store = CheckpointStore(tmp_path, resume=True)
-        resume_options = MultiplyOptions(checkpoint=resume_store)
+        resume_options = MultiplyOptions(config=small_config, checkpoint=resume_store)
         second, second_report = parallel_atmult(
-            at_a,
-            at_b,
-            topology=topology,
-            config=small_config,
-            options=resume_options,
+            at_a, at_b, topology=topology, options=resume_options
         )
         assert second_report.pairs_executed == 0
         assert second_report.failure.pairs_resumed == first_report.pairs_executed

@@ -42,7 +42,7 @@ class TestSupervisedCorrectness:
 
     def test_matches_sequential_bit_for_bit(self, rng):
         at = build(heterogeneous_array(rng, 64, 64))
-        sequential, _ = atmult(at, at, config=CONFIG)
+        sequential, _ = atmult(at, at, options=MultiplyOptions(config=CONFIG))
         supervised, report = parallel_atmult(
             at, at, topology=TOPOLOGY, options=process_options()
         )
@@ -69,7 +69,7 @@ class TestSupervisedCorrectness:
 
     def test_single_worker_supervised_run(self, rng):
         at = build(heterogeneous_array(rng, 64, 64))
-        sequential, _ = atmult(at, at, config=CONFIG)
+        sequential, _ = atmult(at, at, options=MultiplyOptions(config=CONFIG))
         supervised, report = parallel_atmult(
             at, at, topology=TOPOLOGY, options=process_options(workers=1)
         )
@@ -113,7 +113,7 @@ class TestSupervisedReport:
 
     def test_generous_pair_deadline_changes_nothing(self, rng):
         at = build(heterogeneous_array(rng, 64, 64))
-        sequential, _ = atmult(at, at, config=CONFIG)
+        sequential, _ = atmult(at, at, options=MultiplyOptions(config=CONFIG))
         supervised, report = parallel_atmult(
             at, at, topology=TOPOLOGY,
             options=process_options(pair_deadline_seconds=120.0),
@@ -151,7 +151,7 @@ class TestThreadFallback:
 
         monkeypatch.setattr(supervisor, "processes_available", lambda: False)
         at = build(heterogeneous_array(rng, 64, 64))
-        sequential, _ = atmult(at, at, config=CONFIG)
+        sequential, _ = atmult(at, at, options=MultiplyOptions(config=CONFIG))
         with pytest.warns(RuntimeWarning, match="falls back to threads"):
             result, report = parallel_atmult(
                 at, at, topology=TOPOLOGY, options=process_options()

@@ -57,7 +57,6 @@ class TestSessionSolveFacade:
         "method,direct",
         [
             ("cg", conjugate_gradient),
-            ("conjugate_gradient", conjugate_gradient),
             ("jacobi", jacobi),
             ("richardson", richardson),
         ],
@@ -72,7 +71,7 @@ class TestSessionSolveFacade:
         )
         via_direct = direct(
             matrix, rhs,
-            session=Session(config=small_config),
+            options=Session(config=small_config).options,
             max_iterations=40, **kwargs,
         )
         assert np.array_equal(via_facade.solution, via_direct.solution)
@@ -83,15 +82,6 @@ class TestSessionSolveFacade:
         matrix, rhs = spd_system
         with pytest.raises(ConfigError, match="unknown solve method"):
             Session(config=small_config).solve(matrix, rhs, method="gauss")
-
-    def test_legacy_solver_methods_delegate(self, small_config, spd_system):
-        matrix, rhs = spd_system
-        session = Session(config=small_config)
-        legacy = session.conjugate_gradient(matrix, rhs, max_iterations=40)
-        modern = Session(config=small_config).solve(
-            matrix, rhs, method="cg", max_iterations=40
-        )
-        assert np.array_equal(legacy.solution, modern.solution)
 
 
 class TestCacheStats:
@@ -109,11 +99,10 @@ class TestCacheStats:
         assert stats.hits == 1
         assert stats.hit_rate == 0.5
         assert stats.lookups == 2
-        # dict-style access keeps old call sites working
-        assert stats["hits"] == stats.hits
+        # the mapping view is as_dict(); the dataclass itself is not subscriptable
         assert stats.as_dict()["entries"] == stats.entries
-        with pytest.raises(KeyError):
-            stats["no_such_field"]
+        with pytest.raises(TypeError):
+            stats["hits"]
 
     def test_clear_cache(self, small_config, rng):
         session = Session(config=small_config)

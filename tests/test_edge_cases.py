@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import (
     COOMatrix,
+    MultiplyOptions,
     SystemConfig,
     atmult,
     atmv,
@@ -25,7 +26,7 @@ class TestDegenerateShapes:
     def test_one_by_one(self):
         staged = COOMatrix(1, 1, [0], [0], [3.0])
         at = build_at_matrix(staged, CONFIG)
-        result, _ = atmult(at, at, config=CONFIG)
+        result, _ = atmult(at, at, options=MultiplyOptions(config=CONFIG))
         assert result.to_dense()[0, 0] == 9.0
 
     def test_single_row_matrix(self, rng):
@@ -33,9 +34,9 @@ class TestDegenerateShapes:
         row[0, ::7] = rng.random(15)[: len(row[0, ::7])]
         at = build_at_matrix(COOMatrix.from_dense(row), CONFIG)
         col_at = build_at_matrix(COOMatrix.from_dense(row.T), CONFIG)
-        outer, _ = atmult(col_at, at, config=CONFIG)  # (100x1) @ (1x100)
+        outer, _ = atmult(col_at, at, options=MultiplyOptions(config=CONFIG))  # (100x1) @ (1x100)
         np.testing.assert_allclose(outer.to_dense(), row.T @ row, atol=1e-12)
-        inner, _ = atmult(at, col_at, config=CONFIG)  # (1x100) @ (100x1)
+        inner, _ = atmult(at, col_at, options=MultiplyOptions(config=CONFIG))  # (1x100) @ (100x1)
         np.testing.assert_allclose(inner.to_dense(), row @ row.T, atol=1e-12)
 
     def test_extreme_aspect_ratio(self, rng):
@@ -43,7 +44,7 @@ class TestDegenerateShapes:
         wide = np.where(rng.random((3, 150)) < 0.3, 1.0, 0.0)
         a = build_at_matrix(COOMatrix.from_dense(tall), CONFIG)
         b = build_at_matrix(COOMatrix.from_dense(wide), CONFIG)
-        result, _ = atmult(a, b, config=CONFIG)
+        result, _ = atmult(a, b, options=MultiplyOptions(config=CONFIG))
         np.testing.assert_allclose(result.to_dense(), tall @ wide)
 
     def test_identity_chain(self, rng):
@@ -51,7 +52,7 @@ class TestDegenerateShapes:
         eye = build_at_matrix(COOMatrix.from_dense(np.eye(n)), CONFIG)
         data = rng.random((n, n))
         at = build_at_matrix(COOMatrix.from_dense(data), CONFIG)
-        result, _ = multiply_chain([eye, at, eye], config=CONFIG)
+        result, _ = multiply_chain([eye, at, eye], options=MultiplyOptions(config=CONFIG))
         np.testing.assert_allclose(result.to_dense(), data, atol=1e-12)
 
     def test_atmv_single_column(self):
@@ -65,7 +66,7 @@ class TestNumericalExtremes:
     def test_tiny_and_huge_values_survive(self):
         staged = COOMatrix(2, 2, [0, 1], [0, 1], [1e-300, 1e300])
         at = build_at_matrix(staged, CONFIG)
-        result, _ = atmult(at, at, config=CONFIG)
+        result, _ = atmult(at, at, options=MultiplyOptions(config=CONFIG))
         dense = result.to_dense()
         assert dense[0, 0] == pytest.approx(1e-600, abs=1e-290)
         assert np.isinf(dense[1, 1]) or dense[1, 1] == pytest.approx(1e600)
@@ -74,14 +75,14 @@ class TestNumericalExtremes:
         array = rng.standard_normal((40, 40))
         array[np.abs(array) < 1.0] = 0.0
         at = build_at_matrix(COOMatrix.from_dense(array), CONFIG)
-        result, _ = atmult(at, at, config=CONFIG)
+        result, _ = atmult(at, at, options=MultiplyOptions(config=CONFIG))
         np.testing.assert_allclose(result.to_dense(), array @ array, atol=1e-10)
 
     def test_exact_cancellation_in_product(self):
         # A @ A has a structural non-zero that cancels numerically.
         a = np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 1.0, -1.0]])
         at = build_at_matrix(COOMatrix.from_dense(a), CONFIG)
-        result, _ = atmult(at, at, config=CONFIG)
+        result, _ = atmult(at, at, options=MultiplyOptions(config=CONFIG))
         np.testing.assert_allclose(result.to_dense(), a @ a)
 
 
@@ -141,7 +142,7 @@ class TestConfigExtremes:
         staged = COOMatrix(32, 32, rows, cols, values)
         at = build_at_matrix(staged, CONFIG)
         np.testing.assert_allclose(at.to_dense(), staged.to_dense())
-        result, _ = atmult(at, at, config=CONFIG)
+        result, _ = atmult(at, at, options=MultiplyOptions(config=CONFIG))
         expected = staged.to_dense() @ staged.to_dense()
         np.testing.assert_allclose(result.to_dense(), expected, atol=1e-9)
 

@@ -4,7 +4,7 @@ Each RPR rule gets a paired good/bad fixture under ``fixtures/``; the
 bad fixture seeds known violations and the tests assert the exact rule
 code and line number for every one of them.  Fixtures are fed through
 ``check_source`` with virtual repo-relative paths so path-scoped rules
-(RPR002/004/005/006) fire without the files living inside src/repro.
+(RPR002/005/006) fire without the files living inside src/repro.
 """
 
 from __future__ import annotations
@@ -95,27 +95,6 @@ class TestLockDisciplineRule:
         assert "'with self._lock'" in violations[0].message
         assert "Cache.put mutates self._entries" in violations[1].message
         assert "Cache.note mutates self._entries" in violations[2].message
-
-
-class TestLegacyKeywordRule:
-    PATH = "src/repro/engine/helper.py"
-
-    def test_options_object_is_clean(self):
-        assert run_rule("RPR004", "rpr004_good.py", self.PATH) == []
-
-    def test_legacy_keywords_are_flagged(self):
-        violations = run_rule("RPR004", "rpr004_bad.py", self.PATH)
-        assert [(v.code, v.line) for v in violations] == [
-            ("RPR004", 5),  # atmult(..., memory_limit_bytes=...)
-            ("RPR004", 6),  # multiply_chain(..., use_estimation=...)
-        ]
-        assert "atmult(memory_limit_bytes=...)" in violations[0].message
-        assert "multiply_chain(use_estimation=...)" in violations[1].message
-
-    def test_rule_only_applies_inside_src(self):
-        source = fixture("rpr004_bad.py")
-        rule = RULES_BY_CODE["RPR004"]
-        assert check_source(source, "tests/test_legacy.py", [rule]) == []
 
 
 class TestSpanCoverageRule:
@@ -244,14 +223,17 @@ class TestSuppression:
 
     def test_disable_lists_multiple_codes(self):
         source = (
-            "def run(atmult, a, b):  # repro-lint: disable=RPR006, RPR004\n"
-            "    return atmult(a, b, workers=2)\n"
+            "import time\n"
+            "\n"
+            "\n"
+            "def stamp(at=time.time()):  # repro-lint: disable=RPR006, RPR002\n"
+            "    return at, time.time()\n"
         )
-        rules = [RULES_BY_CODE["RPR004"], RULES_BY_CODE["RPR006"]]
-        violations = check_source(source, "src/repro/engine/x.py", rules)
-        # RPR006 (anchored at line 1) is suppressed; RPR004 fires on
-        # line 2 where no disable comment exists.
-        assert [(v.code, v.line) for v in violations] == [("RPR004", 2)]
+        rules = [RULES_BY_CODE["RPR002"], RULES_BY_CODE["RPR006"]]
+        violations = check_source(source, "src/repro/engine/plan.py", rules)
+        # Both codes fire on line 4 and both are suppressed there; the
+        # wall-clock read on line 5 has no disable comment and still fires.
+        assert [(v.code, v.line) for v in violations] == [("RPR002", 5)]
 
     def test_suppressed_count_surfaces_in_check_paths(self, tmp_path):
         target = tmp_path / "src" / "repro" / "engine" / "plan.py"

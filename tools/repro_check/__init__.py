@@ -17,9 +17,6 @@ RPR002
 RPR003
     Locking discipline: classes that own a ``threading.Lock`` mutate
     their ``__init__``-assigned state only under ``with self._lock``.
-RPR004
-    No internal use of the deprecated legacy multiply keywords; options
-    flow through ``MultiplyOptions`` inside ``src/repro``.
 RPR005
     Observability coverage: public kernel/executor functions that loop
     over tile pairs open a span.

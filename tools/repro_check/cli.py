@@ -30,8 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-check",
         description=(
             "Domain-invariant static analysis for the repro codebase "
-            "(per-file RPR001-RPR008 and whole-program RPR009-RPR012); "
-            "see docs/STATIC_ANALYSIS.md for the catalog."
+            "(per-file RPR001-RPR008, RPR004 retired, and whole-program "
+            "RPR009-RPR012); see docs/STATIC_ANALYSIS.md for the catalog."
         ),
     )
     parser.add_argument(

@@ -26,21 +26,6 @@ _MUTATOR_METHODS = frozenset(
     }
 )
 
-#: The deprecated multiply keywords (mirrors
-#: ``repro.engine.options.LEGACY_OPTION_KEYWORDS`` plus ``return_report``).
-_LEGACY_KEYWORDS = frozenset(
-    {
-        "memory_limit_bytes", "dynamic_conversion", "use_estimation",
-        "resilience", "observer", "workers", "return_report",
-    }
-)
-
-#: Entry points whose legacy keywords are deprecated (RPR004 callees).
-_LEGACY_ENTRY_POINTS = frozenset(
-    {"atmult", "parallel_atmult", "multiply", "multiply_chain", "evaluate"}
-)
-
-
 def _in_src(path: str) -> bool:
     return path.startswith("src/repro/") or "/src/repro/" in path
 
@@ -564,50 +549,6 @@ def _mutated_attr(node: ast.AST, state_attrs: set[str]) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# RPR004: no internal use of deprecated legacy kwargs
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class LegacyKeywordRule:
-    """Inside src/repro, multiply entry points take ``options=`` only.
-
-    The deprecated keyword surface exists for downstream callers during
-    migration; internal call sites using it would warn at every call and
-    re-entrench the sprawl ``MultiplyOptions`` removed.
-    """
-
-    code: str = "RPR004"
-    summary: str = "internal multiply calls use MultiplyOptions, not legacy kwargs"
-
-    def applies(self, path: str) -> bool:
-        return _in_src(path)
-
-    def check(self, tree: ast.Module, source: str, path: str) -> list[Violation]:
-        violations: list[Violation] = []
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = _name_chain(node.func).split(".")[-1]
-            if callee not in _LEGACY_ENTRY_POINTS:
-                continue
-            for keyword in node.keywords:
-                if keyword.arg in _LEGACY_KEYWORDS:
-                    violations.append(
-                        _violation(
-                            self.code,
-                            f"{callee}({keyword.arg}=...) uses a deprecated "
-                            "legacy keyword inside src/repro; pass "
-                            f"options=MultiplyOptions({keyword.arg}=...) "
-                            "instead",
-                            path,
-                            keyword.value,
-                        )
-                    )
-        return violations
-
-
-# ---------------------------------------------------------------------------
 # RPR005: observability coverage of tile-pair loops
 # ---------------------------------------------------------------------------
 
@@ -964,7 +905,6 @@ ALL_RULES: tuple[object, ...] = (
     KernelRegistryRule(),
     DeterminismRule(),
     LockDisciplineRule(),
-    LegacyKeywordRule(),
     SpanCoverageRule(),
     AnnotationRule(),
     AtomicWriteRule(),
