@@ -48,6 +48,7 @@ from .errors import (
     TransportError,
     UnknownJobError,
     UnknownMatrixError,
+    WaitTimeoutError,
 )
 from .observe import (
     CostAccuracyTracker,
@@ -178,6 +179,7 @@ __all__ = [
     "QuotaExceededError",
     "UnknownMatrixError",
     "UnknownJobError",
+    "WaitTimeoutError",
     "OperationCancelledError",
     "DeadlineExceededError",
     "ServiceUnavailableError",

@@ -26,6 +26,7 @@ Hierarchy::
         ├── QuotaExceededError               tenant queue quota / depth exhausted
         ├── UnknownMatrixError               request names an unregistered matrix
         ├── UnknownJobError                  request names an unknown job id
+        ├── WaitTimeoutError  (TimeoutError) a job did not settle within a wait
         ├── FrameTooLargeError               a protocol frame exceeds the size cap
         ├── ServiceUnavailableError          server is draining / not ready
         ├── TransportError                   client could not reach the server
@@ -310,6 +311,15 @@ class UnknownMatrixError(ServiceError):
 
 class UnknownJobError(ServiceError):
     """A request referenced a job id the service does not know."""
+
+
+class WaitTimeoutError(ServiceError, TimeoutError):
+    """A job was still queued or running when a ``wait`` timed out.
+
+    The job itself is unaffected; waiting again is safe.  Also a
+    :class:`TimeoutError`, so callers of the service's ``wait`` catch it
+    as the builtin.
+    """
 
 
 class FrameTooLargeError(ServiceError):

@@ -1,4 +1,4 @@
-"""Durable file I/O primitives: atomic writes and the CRC32C checksum.
+"""Durable file I/O primitives: atomic writes and the format checksums.
 
 Every file the library persists — ``.npz`` archives, checkpoint journal
 records, ``.mtx`` exports, observation dumps — goes through
@@ -10,13 +10,19 @@ final file that a later load dies on.  The repro-lint rule RPR007
 enforces that no code under ``src/repro`` opens a final path for
 writing directly.
 
-:func:`crc32c` is the CRC-32C (Castagnoli) checksum used for
-end-to-end integrity: archive format v2 stores one checksum per payload
-array and the checkpoint journal stores one per record, so a flipped
-bit at rest is caught at load time instead of surfacing as wrong
-numerics.  The implementation is table-driven pure Python — fast enough
-for the payload sizes this reproduction handles; swap in a hardware
-``crc32c`` wheel for production-scale archives.
+:func:`crc32` is the checksum of every current on-disk and on-wire
+format: archive format v3 stores one per payload array, checkpoint
+journal v2 one per record, and a service result body is an archive
+carrying them.  It is stdlib :func:`zlib.crc32` (CRC-32, IEEE 802.3),
+which runs at C speed and accepts any C-contiguous buffer — a numpy
+array included — without a copy.  A flipped bit at rest or in transit
+is caught at load time instead of surfacing as wrong numerics.
+
+:func:`crc32c` is the CRC-32C (Castagnoli) checksum of the previous
+formats (archive v2, journal v1).  It is table-driven pure Python,
+orders of magnitude slower than :func:`crc32`, and kept only so those
+files still load and verify: loaders pick the checksum by the version
+number stored in the file.
 """
 
 from __future__ import annotations
@@ -24,9 +30,13 @@ from __future__ import annotations
 import contextlib
 import os
 import tempfile
+import zlib
 from collections.abc import Iterator
 from pathlib import Path
 from typing import IO, Any
+
+#: CRC-32 of a buffer, continuing from ``value``: ``crc32(data, value=0)``.
+crc32 = zlib.crc32
 
 #: Reflected CRC-32C (Castagnoli) polynomial (iSCSI, ext4, RFC 3720).
 _CRC32C_POLY = 0x82F63B78
@@ -45,8 +55,8 @@ def _build_table() -> tuple[int, ...]:
 _CRC32C_TABLE = _build_table()
 
 
-def crc32c(data: bytes | bytearray | memoryview, value: int = 0) -> int:
-    """CRC-32C checksum of ``data``, continuing from ``value``.
+def crc32c(data: Any, value: int = 0) -> int:
+    """CRC-32C checksum of the buffer ``data``, continuing from ``value``.
 
     ``crc32c(b, crc32c(a))`` equals ``crc32c(a + b)``, so multi-array
     payloads can be digested without concatenating their bytes.

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
@@ -70,11 +71,15 @@ class KernelAccuracy:
 
 
 class CostAccuracyTracker:
-    """Thread-safe accumulator of :class:`CostSample` records."""
+    """Thread-safe accumulator of :class:`CostSample` records.
 
-    def __init__(self) -> None:
+    ``max_samples`` bounds retention to the most recent samples
+    (``None``: keep every sample).
+    """
+
+    def __init__(self, *, max_samples: int | None = None) -> None:
         self._lock = threading.Lock()
-        self._samples: list[CostSample] = []
+        self._samples: deque[CostSample] = deque(maxlen=max_samples)
 
     def record(
         self, kernel: str, predicted_seconds: float, measured_seconds: float

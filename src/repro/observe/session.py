@@ -38,12 +38,17 @@ from .trace import NULL_SPAN, Tracer, _NullSpan, _SpanContext
 
 
 class Observation:
-    """One run's worth of spans, metrics and cost-accuracy samples."""
+    """One run's worth of spans, metrics and cost-accuracy samples.
 
-    def __init__(self) -> None:
-        self.tracer = Tracer()
+    ``retain`` bounds a long-lived observation: only the most recent
+    ``retain`` spans and cost samples are kept, while counters, gauges
+    and histograms keep accumulating in full (``None``: keep everything).
+    """
+
+    def __init__(self, *, retain: int | None = None) -> None:
+        self.tracer = Tracer(max_spans=retain)
         self.metrics = MetricsRegistry()
-        self.cost_accuracy = CostAccuracyTracker()
+        self.cost_accuracy = CostAccuracyTracker(max_samples=retain)
 
     def as_dict(self) -> dict[str, Any]:
         """Full serializable snapshot (the JSON exporter's payload)."""

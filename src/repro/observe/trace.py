@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from collections.abc import Iterator
 from typing import Any
@@ -122,14 +123,15 @@ class Tracer:
 
     All timestamps are relative to the tracer's construction instant
     (``epoch_seconds`` holds the corresponding ``time.time()`` for
-    absolute anchoring in exports).
+    absolute anchoring in exports).  ``max_spans`` bounds retention to
+    the most recent finished spans (``None``: keep every span).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, *, max_spans: int | None = None) -> None:
         self.epoch_seconds = time.time()
         self._origin = time.perf_counter()
         self._lock = threading.Lock()
-        self._spans: list[Span] = []
+        self._spans: deque[Span] = deque(maxlen=max_spans)
         self._next_id = 0
         self._stack = threading.local()
 

@@ -10,11 +10,17 @@ cost the whole run (see ``docs/RESILIENCE.md``).  The
     The plan fingerprint, result shape and pair count the journal
     belongs to, written before the first record.
 ``<dir>/pairs/pair-<ti>-<tj>.npz``
-    One record per completed pair: a JSON meta member (plan
-    fingerprint, pair coordinates, tile geometry and kind, CRC-32C of
-    the payload bytes) plus the result-tile payload arrays.  Pairs
+    One record per completed pair: a JSON meta member (journal version,
+    plan fingerprint, pair coordinates, tile geometry and kind, checksum
+    of the payload bytes) plus the result-tile payload arrays.  Pairs
     whose product is all-zero are recorded with ``empty=true`` and no
     payload so a resume does not re-execute them either.
+
+Journal v2 (written today) checksums each record with stdlib ``zlib``
+CRC-32 (:func:`~repro.ioutil.crc32`); v1 used the pure-Python CRC-32C
+(:func:`~repro.ioutil.crc32c`) and deflated its members, which v2 stores
+uncompressed.  Each record names its own version and is verified with
+that version's checksum, so a v1 journal still resumes.
 
 Every file lands via :func:`~repro.ioutil.atomic_write` (temp file +
 fsync + rename), so a crash leaves either a complete record or no
@@ -36,6 +42,8 @@ import contextlib
 import json
 import threading
 import zipfile
+import zlib
+from collections.abc import Callable
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -45,7 +53,7 @@ from ..core.tile import Tile
 from ..errors import IntegrityError, PlanMismatchError
 from ..formats.csr import CSRMatrix
 from ..formats.dense import DenseMatrix
-from ..ioutil import atomic_write, atomic_write_text, crc32c
+from ..ioutil import atomic_write, atomic_write_text, crc32, crc32c
 from ..kinds import StorageKind
 from ..observe import session as observe_session
 
@@ -57,7 +65,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["CheckpointStore"]
 
 #: Checkpoint journal layout version.
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
+
+#: The record checksum of each journal version (the version dispatch).
+RECORD_CHECKSUMS: dict[int, Callable[[Any, int], int]] = {1: crc32c, 2: crc32}
 
 _MANIFEST = "MANIFEST.json"
 _PAIR_DIR = "pairs"
@@ -77,11 +88,12 @@ def _payload_arrays(tile: Tile) -> dict[str, np.ndarray]:
     }
 
 
-def _payload_crc(arrays: dict[str, np.ndarray]) -> int:
-    """Chained CRC-32C over the payload arrays in stable name order."""
+def _payload_crc(arrays: dict[str, np.ndarray], version: int = JOURNAL_VERSION) -> int:
+    """Chained checksum of ``version`` over the payload arrays, in name order."""
+    checksum = RECORD_CHECKSUMS[version]
     crc = 0
     for name in sorted(arrays):
-        crc = crc32c(np.ascontiguousarray(arrays[name]).tobytes(), crc)
+        crc = checksum(np.ascontiguousarray(arrays[name]), crc)
     return crc
 
 
@@ -182,10 +194,10 @@ class CheckpointStore:
             raise IntegrityError(
                 f"checkpoint manifest {path} is unreadable: {error}"
             ) from error
-        if not isinstance(loaded, dict) or loaded.get("version") != JOURNAL_VERSION:
+        if not isinstance(loaded, dict) or loaded.get("version") not in RECORD_CHECKSUMS:
             raise IntegrityError(
                 f"checkpoint manifest {path} has unsupported layout "
-                f"(expected version {JOURNAL_VERSION})"
+                f"(expected a version in {sorted(RECORD_CHECKSUMS)})"
             )
         return loaded
 
@@ -242,7 +254,7 @@ class CheckpointStore:
             )
         target = self.directory / _PAIR_DIR / _record_name(*coords)
         with atomic_write(target) as handle:
-            np.savez_compressed(handle, meta=np.array(json.dumps(meta)), **arrays)
+            np.savez(handle, meta=np.array(json.dumps(meta)), **arrays)
 
     # -- resume ------------------------------------------------------------
     def load_pair(self, coords: PairCoords) -> Tile | None:
@@ -269,7 +281,9 @@ class CheckpointStore:
                 arrays = {
                     name: archive[name] for name in archive.files if name != "meta"
                 }
-        except (OSError, KeyError, ValueError, zipfile.BadZipFile) as error:
+        except (
+            OSError, KeyError, ValueError, RuntimeError, zipfile.BadZipFile, zlib.error
+        ) as error:
             raise IntegrityError(
                 f"checkpoint record {path} is unreadable: {error}"
             ) from error
@@ -277,10 +291,16 @@ class CheckpointStore:
             raise IntegrityError(
                 f"checkpoint record {path} belongs to a different plan"
             )
-        actual = _payload_crc(arrays)
+        version = meta.get("version", 1)
+        if version not in RECORD_CHECKSUMS:
+            raise IntegrityError(
+                f"checkpoint record {path} has unsupported version {version!r}"
+            )
+        actual = _payload_crc(arrays, version)
         if actual != meta.get("crc"):
             raise IntegrityError(
-                f"checkpoint record {path} failed its CRC-32C check "
+                f"checkpoint record {path} (journal v{version}) failed its "
+                f"{RECORD_CHECKSUMS[version].__name__} check "
                 f"(stored {meta.get('crc')}, computed {actual})"
             )
         coords = (int(meta["pair"][0]), int(meta["pair"][1]))

@@ -21,7 +21,7 @@ violation classes:
 ``tile-shape``      a tile payload's shape differs from its directory entry
 ``tile-bounds``     a tile extends outside the matrix bounds
 ``tile-overlap``    two tiles of one directory overlap (disjointness)
-``archive-checksum``  stored CRC-32C does not match the array bytes
+``archive-checksum``  stored checksum does not match the array bytes
 ``archive-structure`` a required archive member is missing or malformed
 ``archive-unreadable``  the file cannot be opened or decompressed at all
 ==================  =====================================================
@@ -35,7 +35,7 @@ raising wrapper used by loaders.
 
 from __future__ import annotations
 
-import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -45,7 +45,6 @@ import numpy as np
 from ..errors import IntegrityError
 from ..formats.csr import CSRMatrix
 from ..formats.dense import DenseMatrix
-from ..ioutil import crc32c
 from ..observe import session as observe_session
 
 __all__ = [
@@ -286,14 +285,15 @@ def verify_at_matrix(matrix: Any) -> list[IntegrityViolation]:
 def verify_archive(path: str | Path) -> list[IntegrityViolation]:
     """Deep-check a ``save_at_matrix`` archive without trusting loaders.
 
-    Reads the raw arrays, verifies every stored CRC-32C (format v2;
+    Reads the raw arrays, verifies every stored checksum with the
+    function of the archive's own version (CRC-32 on v3, CRC-32C on v2;
     v1 archives carry none and skip this stage), then re-runs the full
     structural verification on the raw payloads.  An archive that cannot
     be opened at all — truncation, a flipped byte in the compressed
     stream, not a zip — yields a single ``archive-unreadable`` violation
     rather than raising.
     """
-    from ..formats.serialize import read_archive_arrays
+    from ..formats.serialize import MEMBER_CHECKSUMS, read_archive_arrays
 
     with observe_session.maybe_span("integrity.verify", attrs={"kind": "archive"}):
         try:
@@ -307,17 +307,29 @@ def verify_archive(path: str | Path) -> list[IntegrityViolation]:
                     str(path),
                 )
             ]
-        violations = _verify_archive_checksums(arrays, checksums)
+        meta = arrays.get("meta")
+        version = int(meta[0]) if meta is not None and len(meta) else 0
+        violations = _verify_archive_checksums(
+            arrays, checksums, MEMBER_CHECKSUMS.get(version)
+        )
         violations.extend(_verify_archive_structure(arrays))
         observe_session.counter("integrity.violations").inc(len(violations))
         return violations
 
 
 def _verify_archive_checksums(
-    arrays: dict[str, np.ndarray], checksums: dict[str, int] | None
+    arrays: dict[str, np.ndarray],
+    checksums: dict[str, int] | None,
+    checksum: Callable[[Any], int] | None,
 ) -> list[IntegrityViolation]:
-    if checksums is None:  # format v1: no checksums to verify
+    if checksum is None:  # format v1 (or unknown): nothing to verify against
         return []
+    if checksums is None:
+        return [
+            IntegrityViolation(
+                "archive-structure", "checksums member missing", "checksums"
+            )
+        ]
     out: list[IntegrityViolation] = []
     for name, expected in sorted(checksums.items()):
         if name not in arrays:
@@ -329,12 +341,12 @@ def _verify_archive_checksums(
                 )
             )
             continue
-        actual = crc32c(arrays[name].tobytes())
+        actual = checksum(np.ascontiguousarray(arrays[name]))
         if actual != expected:
             out.append(
                 IntegrityViolation(
                     "archive-checksum",
-                    f"CRC-32C mismatch: stored {expected:#010x}, "
+                    f"checksum mismatch: stored {expected:#010x}, "
                     f"computed {actual:#010x}",
                     name,
                 )

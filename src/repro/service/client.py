@@ -33,7 +33,7 @@ Example::
             tenant="t", op="multiply", a="G", b="G", deadline=deadline
         )
         status = client.wait(job_id, deadline=deadline)
-        values = client.result(job_id)   # CRC-verified
+        values = client.result(job_id)   # checksum-verified, dense
 
 See docs/SERVICE.md for the full client guide and docs/RESILIENCE.md
 for the end-to-end fault matrix.
@@ -59,18 +59,17 @@ from ..errors import (
     ServiceError,
     TransportError,
     UnknownJobError,
+    WaitTimeoutError,
 )
-from ..ioutil import crc32c
 from ..resilience.retry import RetryPolicy
+from .jobs import decode_result
 
 __all__ = ["CircuitBreaker", "Deadline", "ServiceClient"]
 
-#: Response frames larger than this are rejected client-side (matches
-#: the server's request cap in :mod:`repro.service.protocol`).
+#: Response lines larger than this are rejected client-side (matches
+#: the server's request cap in :mod:`repro.service.protocol`).  A result
+#: body is not a line: its header gives its length.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
-
-#: How long :meth:`ServiceClient.wait` sleeps between status polls.
-_WAIT_POLL_SECONDS = 0.05
 
 #: Default retry discipline for transport failures: a few quick,
 #: jittered attempts — service calls are interactive, not batch.
@@ -227,25 +226,25 @@ class ServiceClient:
 
     # -- public API --------------------------------------------------------
     def ping(self, *, deadline: Deadline | None = None) -> bool:
-        response = self._rpc({"op": "ping"}, op="ping", deadline=deadline)
+        response, _ = self._rpc({"op": "ping"}, op="ping", deadline=deadline)
         return bool(response.get("pong"))
 
     def health(self, *, deadline: Deadline | None = None) -> dict[str, Any]:
-        response = self._rpc({"op": "health"}, op="health", deadline=deadline)
+        response, _ = self._rpc({"op": "health"}, op="health", deadline=deadline)
         return dict(response["health"])
 
     def ready(self, *, deadline: Deadline | None = None) -> dict[str, Any]:
-        response = self._rpc({"op": "ready"}, op="ready", deadline=deadline)
+        response, _ = self._rpc({"op": "ready"}, op="ready", deadline=deadline)
         return dict(response["ready"])
 
     def matrices(self, *, deadline: Deadline | None = None) -> list[str]:
-        response = self._rpc(
+        response, _ = self._rpc(
             {"op": "matrices"}, op="matrices", deadline=deadline
         )
         return [str(name) for name in response["matrices"]]
 
     def metrics(self, *, deadline: Deadline | None = None) -> dict[str, Any]:
-        response = self._rpc({"op": "metrics"}, op="metrics", deadline=deadline)
+        response, _ = self._rpc({"op": "metrics"}, op="metrics", deadline=deadline)
         return dict(response["metrics"])
 
     def submit(
@@ -286,7 +285,7 @@ class ServiceClient:
         if deadline is not None:
             deadline.check("submit")
             job["deadline_seconds"] = deadline.remaining()
-        response = self._rpc(
+        response, _ = self._rpc(
             {"op": "submit", "tenant": tenant, "job": job},
             op="submit",
             deadline=deadline,
@@ -296,7 +295,7 @@ class ServiceClient:
     def status(
         self, job_id: str, *, deadline: Deadline | None = None
     ) -> dict[str, Any]:
-        response = self._rpc(
+        response, _ = self._rpc(
             {"op": "status", "job_id": job_id}, op="status", deadline=deadline
         )
         return dict(response["status"])
@@ -304,30 +303,28 @@ class ServiceClient:
     def result(
         self, job_id: str, *, deadline: Deadline | None = None
     ) -> np.ndarray:
-        """The finished job's dense result values, CRC-verified locally.
+        """The finished job's dense result values, verified locally.
 
-        Raises :class:`~repro.errors.IntegrityError` when the payload's
-        values do not match the digest the server computed — a mangled
-        or tampered result is never silently returned.
+        The server ships its stored result archive as a length-delimited
+        binary body; every member checksum is verified before the values
+        are densified.  Raises :class:`~repro.errors.IntegrityError` when
+        the body is corrupt — at rest or in transit — so a mangled result
+        is never silently returned.
         """
-        response = self._rpc(
+        response, body = self._rpc(
             {"op": "result", "job_id": job_id}, op="result", deadline=deadline
         )
-        payload = response["result"]
-        values = np.asarray(payload["values"], dtype=np.float64).reshape(
-            payload["shape"]
-        )
-        actual = crc32c(np.ascontiguousarray(values).tobytes())
-        stored = int(payload["crc32c"])
-        if actual != stored:
+        header = response["result"]
+        values = decode_result(str(header["kind"]), body)
+        if list(values.shape) != list(header["shape"]):
             raise IntegrityError(
-                f"result of job {job_id!r} failed its CRC-32C check in "
-                f"transit (stored {stored:#010x}, computed {actual:#010x})"
+                f"result of job {job_id!r} has shape {values.shape}, "
+                f"its header says {header['shape']}"
             )
         return values
 
     def cancel(self, job_id: str, *, deadline: Deadline | None = None) -> bool:
-        response = self._rpc(
+        response, _ = self._rpc(
             {"op": "cancel", "job_id": job_id}, op="cancel", deadline=deadline
         )
         return bool(response.get("cancelled"))
@@ -339,21 +336,31 @@ class ServiceClient:
         timeout: float = 60.0,
         deadline: Deadline | None = None,
     ) -> dict[str, Any]:
-        """Poll until the job reaches a terminal state; returns its status."""
-        terminal = ("done", "failed", "cancelled", "deadline_exceeded")
-        expires = time.monotonic() + timeout
-        while True:
+        """Block until the job reaches a terminal state; returns its status.
+
+        One server-side ``wait`` request, answered the moment the job
+        settles.  Raises :class:`~repro.errors.WaitTimeoutError` (a
+        :class:`TimeoutError`) after ``timeout`` seconds, or
+        :class:`~repro.errors.DeadlineExceededError` when ``deadline``
+        runs out first.
+        """
+        what = f"wait for job {job_id}"
+        budget = max(0.0, timeout)
+        if deadline is not None:
+            deadline.check(what)
+            budget = min(budget, deadline.remaining())
+        try:
+            response, _ = self._rpc(
+                {"op": "wait", "job_id": job_id, "timeout": budget},
+                op="wait",
+                deadline=deadline,
+                wait_seconds=budget,
+            )
+        except WaitTimeoutError:
             if deadline is not None:
-                deadline.check(f"wait for job {job_id}")
-            status = self.status(job_id, deadline=deadline)
-            if status.get("state") in terminal:
-                return status
-            if time.monotonic() >= expires:
-                raise TimeoutError(
-                    f"job {job_id} still {status.get('state')!r} after "
-                    f"{timeout:g}s"
-                )
-            time.sleep(_WAIT_POLL_SECONDS)
+                deadline.check(what)
+            raise
+        return dict(response["status"])
 
     # -- transport ---------------------------------------------------------
     def _rpc(
@@ -362,8 +369,14 @@ class ServiceClient:
         *,
         op: str,
         deadline: Deadline | None,
-    ) -> dict[str, Any]:
-        """One request with retries, breaker accounting and error mapping."""
+        wait_seconds: float = 0.0,
+    ) -> tuple[dict[str, Any], bytes]:
+        """One request with retries, breaker accounting and error mapping.
+
+        Returns the response and its body (empty unless the response is
+        a result header).  ``wait_seconds`` is how long the server may
+        legitimately hold the answer back; it extends the socket timeout.
+        """
         attempts = max(1, self.retry.max_attempts)
         last_error: TransportError | None = None
         for attempt in range(1, attempts + 1):
@@ -371,7 +384,7 @@ class ServiceClient:
                 deadline.check(op)
             self.breaker.before_attempt()
             try:
-                response = self._exchange(payload, deadline)
+                response, body = self._exchange(payload, deadline, wait_seconds)
             except TransportError as error:
                 self.breaker.record_failure()
                 self.close()
@@ -385,21 +398,21 @@ class ServiceClient:
                 continue
             self.breaker.record_success()
             if response.get("ok"):
-                return response
+                return response, body
             self._raise_remote(response.get("error"))
         assert last_error is not None
         raise last_error
 
     def _exchange(
-        self, payload: dict[str, Any], deadline: Deadline | None
-    ) -> dict[str, Any]:
+        self, payload: dict[str, Any], deadline: Deadline | None, wait_seconds: float
+    ) -> tuple[dict[str, Any], bytes]:
         """One bounded send/receive over the (re)connected socket."""
         try:
             sock = self._connect(deadline)
             timeout = self.request_timeout
             if deadline is not None:
                 timeout = min(timeout, max(deadline.remaining(), 1e-3))
-            sock.settimeout(timeout)
+            sock.settimeout(timeout + wait_seconds)
             sock.sendall(json.dumps(payload).encode() + b"\n")
             frame = self._read_frame(sock)
         except TransportError:
@@ -421,7 +434,19 @@ class ServiceClient:
             raise TransportError(
                 f"response from {self.host}:{self.port} is not a JSON object"
             )
-        return response
+        header = response.get("result")
+        if not (response.get("ok") and isinstance(header, dict) and "bytes" in header):
+            return response, b""
+        try:
+            return response, self._read_body(sock, int(header["bytes"]))
+        except TransportError:
+            raise
+        except (OSError, ValueError) as error:
+            raise TransportError(
+                f"reading a result body from {self.host}:{self.port} failed: "
+                f"{error}",
+                cause=error,
+            ) from error
 
     def _connect(self, deadline: Deadline | None) -> socket.socket:
         if self._sock is not None:
@@ -461,6 +486,23 @@ class ServiceClient:
                     f"({len(self._buffer)} bytes buffered)"
                 )
             self._buffer += chunk
+
+    def _read_body(self, sock: socket.socket, size: int) -> bytes:
+        """Exactly ``size`` body bytes following a header line."""
+        body = bytearray(size)
+        view = memoryview(body)
+        got = min(size, len(self._buffer))
+        view[:got] = self._buffer[:got]
+        self._buffer = self._buffer[got:]
+        while got < size:
+            received = sock.recv_into(view[got:])
+            if not received:
+                raise TransportError(
+                    f"connection to {self.host}:{self.port} closed mid-body "
+                    f"({got} of {size} bytes received)"
+                )
+            got += received
+        return bytes(body)
 
     def _raise_remote(self, error_obj: Any) -> None:
         """Re-raise a server-side error payload as its typed class."""

@@ -5,7 +5,7 @@ Every submitted job gets its own directory under the service's job dir::
     <job_dir>/<job_id>/
         job.json      # spec + state + error + timestamps (atomic writes)
         ckpt/         # CheckpointStore spill dir (multiply jobs)
-        result.npz    # dense result values + CRC-32C (atomic write)
+        result.npz    # the result as a v3 archive (atomic write)
 
 ``job.json`` is rewritten atomically on every state transition, so a
 SIGKILL at any instant leaves each job either in its previous state or
@@ -14,6 +14,14 @@ its next one — never half-written.  On restart,
 when the process died; the service re-enqueues them and multiply jobs
 resume from their checkpoint journal instead of recomputing finished
 tile-pairs (see docs/SERVICE.md for the recovery guarantees).
+
+Results are never densified on the server.  A multiply job stores its
+:class:`~repro.core.atmatrix.ATMatrix` as a v3 AT archive (kind
+``"at"``); a ``matvec``/``solve`` job stores its vector as a v3 values
+archive (kind ``"values"``: members ``meta`` = ``[3]``, ``values`` and
+the same ``checksums`` map).  The service ships the stored file
+byte-for-byte; :func:`decode_result` verifies every checksum and only
+then densifies, on whichever side reads it.
 """
 
 from __future__ import annotations
@@ -21,18 +29,35 @@ from __future__ import annotations
 import enum
 import io
 import json
+import os
 import time
+import zipfile
+import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
 import numpy as np
 
-from ..errors import FormatError, IntegrityError, UnknownJobError
+from ..core.atmatrix import ATMatrix
+from ..errors import FormatError, IntegrityError, ParseError, UnknownJobError
+from ..formats.serialize import (
+    FORMAT_VERSION,
+    array_checksum,
+    load_at_matrix,
+    read_archive_arrays,
+    save_at_matrix,
+)
 from ..ioutil import atomic_write, atomic_write_text, crc32c
 
 #: Operations a job may request.
 JOB_OPS = ("multiply", "matvec", "solve")
+
+#: What reading a damaged ``.npz`` raises, before any checksum runs.
+_UNREADABLE = (
+    OSError, EOFError, ValueError, KeyError, IndexError, RuntimeError,
+    zipfile.BadZipFile, zlib.error,
+)
 
 
 class JobState(str, enum.Enum):
@@ -234,34 +259,93 @@ class JobStore:
         return [record for record in self.load_all() if not record.state.terminal]
 
     # -- results -----------------------------------------------------------
-    def save_result(self, job_id: str, values: np.ndarray) -> int:
-        """Persist the job's dense result; returns its CRC-32C digest."""
-        array = np.ascontiguousarray(values, dtype=np.float64)
-        digest = crc32c(array.tobytes())
-        buffer = io.BytesIO()
-        np.savez(buffer, values=array, crc=np.array([digest], dtype=np.uint32))
-        with atomic_write(self._result_path(job_id), mode="wb") as handle:
-            handle.write(buffer.getvalue())
-        return digest
+    def save_result(self, job_id: str, result: ATMatrix | np.ndarray) -> None:
+        """Persist the job's result as a v3 archive (see the module doc)."""
+        path = self._result_path(job_id)
+        if isinstance(result, ATMatrix):
+            save_at_matrix(result, path)
+            return
+        values = np.ascontiguousarray(result, dtype=np.float64)
+        meta = np.array([FORMAT_VERSION], dtype=np.int64)
+        checksums = {"meta": array_checksum(meta), "values": array_checksum(values)}
+        with atomic_write(path) as handle:
+            np.savez(handle, meta=meta, values=values, checksums=np.array(json.dumps(checksums)))
 
-    def load_result(self, job_id: str) -> np.ndarray:
-        """The persisted result values, CRC-verified."""
+    def open_result(self, job_id: str) -> tuple[dict[str, Any], BinaryIO]:
+        """The stored result file, open at offset 0, and its frame header.
+
+        The header is ``{"kind", "shape", "bytes"}``; ``bytes`` is the
+        size of the open file, which stays fixed because results are only
+        ever replaced atomically.  The caller closes the handle.  Raises
+        :class:`IntegrityError` when the file is not a readable archive.
+        """
         path = self._result_path(job_id)
         if not path.exists():
             raise UnknownJobError(f"job {job_id!r} has no stored result")
-        with np.load(path) as archive:
-            values = np.asarray(archive["values"], dtype=np.float64)
-            stored = int(archive["crc"][0])
-        actual = crc32c(np.ascontiguousarray(values).tobytes())
-        if actual != stored:
+        handle = path.open("rb")
+        try:
+            with np.load(handle, allow_pickle=False) as archive:
+                if "tiles" in archive.files:
+                    meta = archive["meta"]
+                    kind, shape = "at", [int(meta[1]), int(meta[2])]
+                else:
+                    kind, shape = "values", list(archive["values"].shape)
+            size = os.fstat(handle.fileno()).st_size
+            handle.seek(0)
+        except _UNREADABLE as error:
+            handle.close()
             raise IntegrityError(
-                f"result of job {job_id!r} failed its CRC-32C check "
-                f"(stored {stored:#010x}, computed {actual:#010x})"
-            )
-        return values
+                f"stored result of job {job_id!r} is unreadable: {error}"
+            ) from error
+        return {"kind": kind, "shape": shape, "bytes": size}, handle
+
+    def load_result(self, job_id: str) -> np.ndarray:
+        """The persisted result as a dense array, every checksum verified."""
+        header, handle = self.open_result(job_id)
+        with handle:
+            return decode_result(header["kind"], handle)
 
     def has_result(self, job_id: str) -> bool:
         return self._result_path(job_id).exists()
+
+
+def decode_result(kind: str, source: bytes | BinaryIO) -> np.ndarray:
+    """Dense values of a stored result archive of ``kind``, verified.
+
+    Every member checksum is checked before anything is densified.  Any
+    unreadable or corrupt body raises :class:`IntegrityError`: a result
+    is either exactly what the job computed or an error, never wrong
+    values.
+    """
+    stream = io.BytesIO(source) if isinstance(source, (bytes, bytearray)) else source
+    try:
+        if kind == "at":
+            return load_at_matrix(stream).to_dense()
+        if kind == "values":
+            return _load_values(stream)
+    except ParseError as error:
+        raise IntegrityError(f"result archive is unreadable: {error}") from error
+    raise FormatError(f"unknown result kind {kind!r}")
+
+
+def _load_values(stream: BinaryIO) -> np.ndarray:
+    try:
+        arrays, checksums = read_archive_arrays(stream)
+        values = arrays["values"]
+    except _UNREADABLE as error:
+        raise ParseError(f"not a values archive: {error}") from error
+    if checksums is None and "crc" in arrays:
+        # A result stored before archive v3: dense values + one CRC-32C.
+        checksums = {"values": int(arrays["crc"][0])}
+        actual = {"values": crc32c(np.ascontiguousarray(values))}
+    else:
+        version = int(arrays["meta"][0]) if "meta" in arrays else 0
+        if checksums is None or version != FORMAT_VERSION:
+            raise ParseError(f"values archive without v{FORMAT_VERSION} checksums")
+        actual = {name: array_checksum(arrays[name]) for name in checksums if name in arrays}
+    if actual != checksums:
+        raise IntegrityError("result values failed their checksum verification")
+    return np.asarray(values, dtype=np.float64)
 
 
 def new_job_id(counter: int, tenant: str) -> str:

@@ -1,16 +1,23 @@
 """JSON-lines TCP front end for the matrix service.
 
-One request per line, one response per line — trivially scriptable with
-``nc`` and language-agnostic.  Requests are JSON objects with an ``op``
-field:
+One request per line, one JSON response line per request — scriptable
+and language-agnostic.  Requests are JSON objects with an ``op`` field:
 
 * ``{"op": "submit", "tenant": T, "job": {"op": "multiply", "a": ...,
   "b": ...}}`` → ``{"ok": true, "job_id": ...}``
 * ``{"op": "status", "job_id": J}`` → ``{"ok": true, "status": {...}}``
-* ``{"op": "result", "job_id": J}`` → ``{"ok": true, "result":
-  {"shape": [r, c], "values": [...], "crc32c": N}}`` — the flattened
-  row-major values plus their CRC-32C digest, so clients can verify
-  bit-identical recovery end to end.
+* ``{"op": "wait", "job_id": J, "timeout": S}`` → the same ``status``
+  answer, sent once the job reaches a terminal state; after ``S``
+  seconds (default 60) a typed ``WaitTimeoutError`` answer instead.
+  The connection stays open either way.
+* ``{"op": "result", "job_id": J}`` → one JSON header line
+  ``{"ok": true, "result": {"kind": K, "shape": [r, c], "bytes": N}}``
+  followed by exactly ``N`` raw bytes: the job's stored result file,
+  a v3 archive of kind ``"at"`` (the AT Matrix of a multiply) or
+  ``"values"`` (the vector of a ``matvec``/``solve``).  The body is
+  decoded and checksum-verified by the reader
+  (:func:`repro.service.jobs.decode_result`); it is binary, so this one
+  answer is not ``nc``-readable.
 * ``{"op": "cancel", "job_id": J}`` → ``{"ok": true, "cancelled": bool}``
 * ``{"op": "metrics"}`` → the :meth:`MatrixService.metrics` export.
 * ``{"op": "matrices"}`` → the registered matrix names.
@@ -33,7 +40,10 @@ Frames are bounded: a request line longer than
 :data:`STREAM_LIMIT_BYTES` is discarded (the connection survives) and
 answered with a typed ``FrameTooLargeError`` payload instead of growing
 the buffer without bound; a frame truncated by a mid-line disconnect
-closes that connection without disturbing the server.
+closes that connection without disturbing the server.  A result body is
+not a line: it is length-delimited by its header and streamed from the
+file in chunks, so its size is bounded by the stored result, not by
+the line cap.
 """
 
 from __future__ import annotations
@@ -41,18 +51,18 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-from typing import Any
-
-import numpy as np
+from typing import Any, BinaryIO
 
 from ..errors import FormatError, FrameTooLargeError, ReproError
-from ..ioutil import crc32c
 from .server import MatrixService
 
-#: Per-line stream buffer and frame-size cap: result payloads carry
-#: whole (small) matrices as JSON, far past asyncio's 64 KiB default.
-#: Requests beyond this are rejected with ``FrameTooLargeError``.
+#: Per-line stream buffer and frame-size cap: submit requests carry
+#: inline ``rhs`` vectors, far past asyncio's 64 KiB default.  Requests
+#: beyond this are rejected with ``FrameTooLargeError``.
 STREAM_LIMIT_BYTES = 64 * 1024 * 1024
+
+#: Bytes read from a result file per write while streaming its body.
+_BODY_CHUNK_BYTES = 1 << 20
 
 
 def _error_payload(error: ReproError) -> dict[str, Any]:
@@ -96,15 +106,6 @@ async def _read_frame(reader: asyncio.StreamReader) -> bytes | None:
         ) from None
 
 
-def _result_payload(values: np.ndarray) -> dict[str, Any]:
-    array = np.ascontiguousarray(values, dtype=np.float64)
-    return {
-        "shape": list(array.shape),
-        "values": [float(x) for x in array.ravel()],
-        "crc32c": crc32c(array.tobytes()),
-    }
-
-
 async def _dispatch(service: MatrixService, request: dict[str, Any]) -> dict[str, Any]:
     op = request.get("op")
     if op == "ping":
@@ -141,17 +142,37 @@ async def _dispatch(service: MatrixService, request: dict[str, Any]) -> dict[str
             ),
         )
         return {"ok": True, "job_id": job_id}
-    if op in ("status", "result", "cancel"):
+    if op in ("status", "wait", "cancel"):
         job_id = str(request.get("job_id", ""))
         if op == "status":
             status = await service.status(job_id)
             return {"ok": True, "status": status.to_json_dict()}
-        if op == "result":
-            values = await service.result(job_id)
-            return {"ok": True, "result": _result_payload(values)}
+        if op == "wait":
+            timeout = float(request.get("timeout", 60.0))
+            if not timeout >= 0:
+                raise FormatError(f"wait timeout must be >= 0, got {timeout}")
+            status = await service.wait(job_id, timeout=timeout)
+            return {"ok": True, "status": status.to_json_dict()}
         cancelled = await service.cancel(job_id)
         return {"ok": True, "cancelled": cancelled}
     raise FormatError(f"unknown request op {op!r}")
+
+
+async def _send_body(
+    body: BinaryIO, size: int, writer: asyncio.StreamWriter
+) -> None:
+    """Stream exactly ``size`` bytes of ``body`` in bounded chunks."""
+    loop = asyncio.get_running_loop()
+    remaining = size
+    while remaining:
+        chunk = await loop.run_in_executor(
+            None, body.read, min(_BODY_CHUNK_BYTES, remaining)
+        )
+        if not chunk:  # cannot happen for an atomically replaced file
+            raise ConnectionAbortedError("result file ended before its size")
+        writer.write(chunk)
+        remaining -= len(chunk)
+        await writer.drain()
 
 
 async def _handle_connection(
@@ -169,11 +190,18 @@ async def _handle_connection(
                 continue
             if not line:
                 break
+            body: BinaryIO | None = None
             try:
                 request = json.loads(line)
                 if not isinstance(request, dict):
                     raise FormatError("requests must be JSON objects")
-                response = await _dispatch(service, request)
+                if request.get("op") == "result":
+                    header, body = await service.open_result(
+                        str(request.get("job_id", ""))
+                    )
+                    response: dict[str, Any] = {"ok": True, "result": header}
+                else:
+                    response = await _dispatch(service, request)
             except ReproError as error:
                 response = _error_payload(error)
             except (ValueError, TypeError, KeyError) as error:
@@ -182,7 +210,11 @@ async def _handle_connection(
                     "error": {"type": "BadRequest", "message": str(error)},
                 }
             writer.write(json.dumps(response).encode() + b"\n")
-            await writer.drain()
+            if body is None:
+                await writer.drain()
+                continue
+            with body:
+                await _send_body(body, response["result"]["bytes"], writer)
     finally:
         writer.close()
         with contextlib.suppress(Exception):
@@ -203,7 +235,15 @@ async def serve(
     async def handler(
         reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        await _handle_connection(service, reader, writer)
+        try:
+            await _handle_connection(service, reader, writer)
+        except (asyncio.CancelledError, ConnectionError):
+            # Shutdown cancels connections still open (idle, or parked in
+            # a ``wait``), and a client may vanish mid-answer.  Either
+            # way the connection is closed; end the task normally, as
+            # asyncio's stream callback logs a cancelled or failed
+            # handler task as an error ("Exception in callback").
+            pass
 
     return await asyncio.start_server(
         handler, host=host, port=port, limit=STREAM_LIMIT_BYTES

@@ -45,11 +45,12 @@ import asyncio
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
 import numpy as np
 
 from ..config import SystemConfig
+from ..core.atmatrix import ATMatrix
 from ..engine.options import MultiplyOptions
 from ..engine.session import Session
 from ..errors import (
@@ -60,6 +61,7 @@ from ..errors import (
     ServiceError,
     ServiceUnavailableError,
     UnknownJobError,
+    WaitTimeoutError,
 )
 from ..observe import Observation
 from ..resilience.cancel import CancelToken
@@ -70,6 +72,11 @@ from .registry import MatrixRegistry
 
 #: How long a worker sleeps between footprint-acquisition retries.
 _ACQUIRE_POLL_SECONDS = 0.02
+
+#: Spans and cost samples the service's own observation keeps: nothing
+#: in the service reads them back, and a CG solve job alone records
+#: thousands of each.  Counters and histograms are not bounded.
+_RETAINED_RECORDS = 4096
 
 
 @dataclass(frozen=True)
@@ -118,8 +125,10 @@ class MatrixService:
         Global pending-job bound; submissions beyond it are shed.
     config, options, observer:
         Forwarded to the underlying :class:`Session`; the observer
-        (created automatically when omitted) receives every span and
-        metric the engine and the service emit.
+        receives every span and metric the engine and the service emit.
+        When omitted, the service creates one that retains only the
+        most recent spans and cost samples, so a long-running server's
+        memory stays flat while its metrics keep accumulating.
     """
 
     def __init__(
@@ -139,7 +148,9 @@ class MatrixService:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.registry = registry
         self.store = JobStore(job_dir)
-        self.observer = observer if observer is not None else Observation()
+        self.observer = (
+            observer if observer is not None else Observation(retain=_RETAINED_RECORDS)
+        )
         self.session = Session(
             config=config or registry.config,
             options=options,
@@ -163,6 +174,9 @@ class MatrixService:
         self._cancel_tokens: dict[str, CancelToken] = {}
         #: idempotency key -> job id, rebuilt from the store on start
         self._idempotency: dict[str, str] = {}
+        #: completion events of jobs someone waits on, set and dropped
+        #: when the job reaches a terminal state
+        self._settled: dict[str, asyncio.Event] = {}
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> int:
@@ -388,11 +402,29 @@ class MatrixService:
         )
 
     async def result(self, job_id: str) -> np.ndarray:
-        """The finished job's dense result values (CRC-verified).
+        """The finished job's dense result values (checksum-verified).
 
         Raises :class:`UnknownJobError` for unknown ids and
         :class:`ReproError` subclasses replaying a failed job's error.
         """
+        self._require_done(job_id)
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(None, self.store.load_result, job_id)
+
+    async def open_result(self, job_id: str) -> tuple[dict[str, Any], BinaryIO]:
+        """The finished job's stored result file and its frame header.
+
+        What the ``result`` verb ships: ``{"kind", "shape", "bytes"}``
+        plus the open file, whose ``bytes`` raw bytes follow the header
+        on the wire unverified and undensified (see
+        :func:`~repro.service.jobs.decode_result`).  The caller closes
+        the file.  Raises like :meth:`result`.
+        """
+        self._require_done(job_id)
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(None, self.store.open_result, job_id)
+
+    def _require_done(self, job_id: str) -> None:
         record = self._record(job_id)
         if record.state is JobState.FAILED:
             raise ReproError(
@@ -402,8 +434,6 @@ class MatrixService:
             raise UnknownJobError(
                 f"job {job_id} has no result yet (state: {record.state.value})"
             )
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self.store.load_result, job_id)
 
     async def cancel(self, job_id: str) -> bool:
         """Cancel a queued or running job; terminal jobs are not touched.
@@ -427,19 +457,28 @@ class MatrixService:
         self.observer.metrics.counter("service.jobs_cancelled").inc()
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self.store.save, record)
+        self._notify_settled(record)
         self._gauge_queue_depth()
         return True
 
     async def wait(self, job_id: str, *, timeout: float = 60.0) -> JobStatus:
-        """Poll until the job reaches a terminal state."""
-        deadline = time.monotonic() + timeout
-        while True:
-            status = await self.status(job_id)
-            if status.state.terminal:
-                return status
-            if time.monotonic() >= deadline:
-                raise TimeoutError(f"job {job_id} still {status.state.value}")
-            await asyncio.sleep(0.01)
+        """Block until the job reaches a terminal state; returns its status.
+
+        Parks on the job's completion event, so it answers the moment
+        the job settles.  Raises :class:`~repro.errors.WaitTimeoutError`
+        (a :class:`TimeoutError`) when ``timeout`` seconds pass first.
+        """
+        record = self._record(job_id)
+        if not record.state.terminal:
+            event = self._settled.setdefault(job_id, asyncio.Event())
+            try:
+                await asyncio.wait_for(event.wait(), timeout)
+            except asyncio.TimeoutError:
+                raise WaitTimeoutError(
+                    f"job {job_id} still {record.state.value} after {timeout:g}s",
+                    tenant=record.spec.tenant,
+                ) from None
+        return await self.status(job_id)
 
     def metrics(self) -> dict[str, Any]:
         """JSON-serializable export of the service's whole metric surface."""
@@ -552,11 +591,11 @@ class MatrixService:
                 await loop.run_in_executor(None, self.store.save, record)
                 started = time.monotonic()
                 try:
-                    values = await loop.run_in_executor(
+                    result = await loop.run_in_executor(
                         None, self._execute, record, token
                     )
                     await loop.run_in_executor(
-                        None, self.store.save_result, job_id, values
+                        None, self.store.save_result, job_id, result
                     )
                     record.state = JobState.DONE
                     self.observer.metrics.counter("service.jobs_completed").inc()
@@ -598,6 +637,7 @@ class MatrixService:
                     await asyncio.shield(
                         loop.run_in_executor(None, self.store.save, record)
                     )
+                    self._notify_settled(record)
                     elapsed = time.monotonic() - started
                     self.observer.metrics.histogram(
                         f"service.latency_seconds.{record.spec.tenant}"
@@ -619,10 +659,21 @@ class MatrixService:
         await asyncio.shield(
             loop.run_in_executor(None, self.store.save, record)
         )
+        self._notify_settled(record)
         self._gauge_queue_depth()
 
-    def _execute(self, record: JobRecord, cancel: CancelToken) -> np.ndarray:
+    def _notify_settled(self, record: JobRecord) -> None:
+        """Wake every :meth:`wait` parked on a job that just settled."""
+        if record.state.terminal:
+            event = self._settled.pop(record.spec.job_id, None)
+            if event is not None:
+                event.set()
+
+    def _execute(self, record: JobRecord, cancel: CancelToken) -> ATMatrix | np.ndarray:
         """Run one job to completion (called in the executor thread).
+
+        A multiply returns its :class:`ATMatrix` as is — the result is
+        stored and shipped in its partitioned form, never densified here.
 
         The cancel token threads through ``MultiplyOptions`` into
         ``execute_plan``, which polls it at tile-pair boundaries; a
@@ -646,7 +697,7 @@ class MatrixService:
             from ..core.atmult import atmult
 
             result, _ = atmult(matrix_a, matrix_b, options=options)
-            return result.to_dense()
+            return result
         assert spec.rhs is not None
         rhs = np.asarray(spec.rhs, dtype=np.float64)
         if spec.op == "matvec":

@@ -92,3 +92,36 @@ def as_dense(array: np.ndarray):
 def assert_matrix_equals(result, expected: np.ndarray, *, atol: float = 1e-10) -> None:
     """Compare any library matrix object against a dense numpy oracle."""
     np.testing.assert_allclose(result.to_dense(), expected, atol=atol)
+
+
+def rewrite_archive(path, *, as_v2: bool = False, flip: bool = False) -> str | None:
+    """Rewrite a ``save_at_matrix`` archive in place.
+
+    ``as_v2`` re-encodes it in format v2: CRC-32C checksums and deflated
+    members, as archives were written before v3.  ``flip`` then flips
+    one bit of a payload member while keeping the stored checksums;
+    the flipped member's name is returned.
+    """
+    import json
+
+    from repro.ioutil import crc32c
+
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    checksums = json.loads(str(arrays.pop("checksums")[()]))
+    if as_v2:
+        arrays["meta"] = arrays["meta"].copy()
+        arrays["meta"][0] = 2
+        checksums = {name: crc32c(array.tobytes()) for name, array in arrays.items()}
+    flipped = None
+    if flip:
+        flipped = next(
+            name for name, array in arrays.items()
+            if name not in ("meta", "tiles") and array.size
+        )
+        array = np.ascontiguousarray(arrays[flipped]).copy()
+        array.reshape(-1).view(np.uint8)[5] ^= 0x04
+        arrays[flipped] = array
+    arrays["checksums"] = np.array(json.dumps(checksums))
+    (np.savez_compressed if as_v2 else np.savez)(path, **arrays)
+    return flipped

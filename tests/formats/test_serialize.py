@@ -2,6 +2,8 @@
 
 import io
 import json
+import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from repro import (
 from repro.errors import IntegrityError, ParseError
 from repro.kinds import StorageKind
 
-from ..conftest import heterogeneous_array
+from ..conftest import heterogeneous_array, rewrite_archive
 
 
 @pytest.fixture
@@ -142,6 +144,59 @@ class TestDurability:
         arrays[target] = tampered
         np.savez_compressed(path, **arrays)
         with pytest.raises(IntegrityError, match=target):
+            load_at_matrix(path)
+
+
+class TestFormatVersions:
+    def test_writes_v3_with_zlib_crc32_checksums(self, matrix, tmp_path):
+        at, _ = matrix
+        path = tmp_path / "matrix.npz"
+        save_at_matrix(at, path)
+        with np.load(path, allow_pickle=False) as archive:
+            assert int(archive["meta"][0]) == 3
+            checksums = json.loads(str(archive["checksums"][()]))
+            for name, expected in checksums.items():
+                assert zlib.crc32(archive[name].tobytes()) == expected
+
+    def test_v2_archive_loads_through_crc32c(self, matrix, tmp_path):
+        at, array = matrix
+        path = tmp_path / "matrix.npz"
+        save_at_matrix(at, path)
+        rewrite_archive(path, as_v2=True)
+        np.testing.assert_array_equal(load_at_matrix(path).to_dense(), array)
+
+    @pytest.mark.parametrize("as_v2", [True, False], ids=["v2", "v3"])
+    def test_bit_flip_raises_integrity_error(self, matrix, tmp_path, as_v2):
+        at, _ = matrix
+        path = tmp_path / "matrix.npz"
+        save_at_matrix(at, path)
+        member = rewrite_archive(path, as_v2=as_v2, flip=True)
+        version = "v2" if as_v2 else "v3"
+        with pytest.raises(IntegrityError, match=f"{version}.*{member}"):
+            load_at_matrix(path)
+
+    def test_flipped_file_byte_raises_integrity_error(self, matrix, tmp_path):
+        """A raw flip in a stored v3 member trips the zip CRC-32."""
+        at, _ = matrix
+        path = tmp_path / "matrix.npz"
+        save_at_matrix(at, path)
+        with zipfile.ZipFile(path) as archive:
+            info = max(archive.infolist(), key=lambda entry: entry.file_size)
+        blob = bytearray(path.read_bytes())
+        blob[info.header_offset + info.compress_size // 2 + 200] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IntegrityError):
+            load_at_matrix(path)
+
+    def test_v3_archive_without_checksums_is_rejected(self, matrix, tmp_path):
+        at, _ = matrix
+        path = tmp_path / "matrix.npz"
+        save_at_matrix(at, path)
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        del arrays["checksums"]
+        np.savez(path, **arrays)
+        with pytest.raises(IntegrityError, match="checksums"):
             load_at_matrix(path)
 
 

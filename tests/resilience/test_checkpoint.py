@@ -18,6 +18,7 @@ from repro import (
     parallel_atmult,
 )
 from repro.errors import IntegrityError
+from repro.ioutil import crc32c
 from repro.topology.system import SystemTopology
 
 from ..conftest import heterogeneous_array
@@ -119,7 +120,7 @@ class TestJournalValidation:
             if self._tamper_payload(record)
         )
         assert target is not None
-        with pytest.raises(IntegrityError, match="CRC-32C"):
+        with pytest.raises(IntegrityError, match="v2.*crc32 check"):
             run(at_a, at_b, small_config, tmp_path, resume=True)
 
     @staticmethod
@@ -160,6 +161,72 @@ class TestJournalValidation:
         manifest["version"] = 999
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(IntegrityError, match="unsupported layout"):
+            run(at_a, at_b, small_config, tmp_path, resume=True)
+
+
+def rewrite_as_v1(directory) -> None:
+    """Turn a journal into the v1 layout: CRC-32C records, deflated."""
+    manifest_path = Path(directory) / "MANIFEST.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["version"] = 1
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    for record in pair_records(directory):
+        with np.load(record, allow_pickle=False) as archive:
+            meta = json.loads(str(archive["meta"][()]))
+            payload = {n: archive[n] for n in archive.files if n != "meta"}
+        crc = 0
+        for name in sorted(payload):
+            crc = crc32c(payload[name].tobytes(), crc)
+        meta.update(version=1, crc=crc)
+        np.savez_compressed(record, meta=np.array(json.dumps(meta)), **payload)
+
+
+def flip_payload_bit(record: Path) -> bool:
+    """Flip the lowest bit of one payload byte, keeping the record's layout."""
+    with np.load(record, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    for name, array in arrays.items():
+        if name != "meta" and array.size:
+            flipped = np.ascontiguousarray(array).copy()
+            flipped.reshape(-1).view(np.uint8)[0] ^= 1
+            arrays[name] = flipped
+            np.savez(record, **arrays)
+            return True
+    return False
+
+
+class TestJournalVersions:
+    def test_records_are_v2(self, workload, small_config, tmp_path):
+        _, _, at_a, at_b = workload
+        run(at_a, at_b, small_config, tmp_path)
+        manifest = json.loads((tmp_path / "MANIFEST.json").read_text(encoding="utf-8"))
+        assert manifest["version"] == 2
+        with np.load(pair_records(tmp_path)[0], allow_pickle=False) as archive:
+            assert json.loads(str(archive["meta"][()]))["version"] == 2
+
+    def test_v1_journal_resumes_bit_identical(self, workload, small_config, tmp_path):
+        _, _, at_a, at_b = workload
+        first, _, _ = run(at_a, at_b, small_config, tmp_path)
+        rewrite_as_v1(tmp_path)
+        second, report, _ = run(at_a, at_b, small_config, tmp_path, resume=True)
+        assert report.pairs_executed == 0
+        assert np.array_equal(second.to_dense(), first.to_dense())
+
+    def test_v1_record_bit_flip_fails_its_crc32c(
+        self, workload, small_config, tmp_path
+    ):
+        _, _, at_a, at_b = workload
+        run(at_a, at_b, small_config, tmp_path)
+        rewrite_as_v1(tmp_path)
+        assert any(flip_payload_bit(record) for record in pair_records(tmp_path))
+        with pytest.raises(IntegrityError, match="v1.*crc32c check"):
+            run(at_a, at_b, small_config, tmp_path, resume=True)
+
+    def test_v2_record_bit_flip_fails_its_crc32(self, workload, small_config, tmp_path):
+        _, _, at_a, at_b = workload
+        run(at_a, at_b, small_config, tmp_path)
+        assert any(flip_payload_bit(record) for record in pair_records(tmp_path))
+        with pytest.raises(IntegrityError, match="v2.*crc32 check"):
             run(at_a, at_b, small_config, tmp_path, resume=True)
 
 

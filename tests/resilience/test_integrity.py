@@ -24,7 +24,7 @@ from repro.resilience.integrity import (
     verify_dense,
 )
 
-from ..conftest import heterogeneous_array
+from ..conftest import heterogeneous_array, rewrite_archive
 
 
 def codes(violations) -> list[str]:
@@ -206,6 +206,22 @@ class TestArchiveViolations:
         arrays["meta"][0] = 1
         np.savez_compressed(path, **arrays)
         assert verify_archive(path) == []
+
+
+    def test_v2_archive_is_clean(self, at_matrix, tmp_path):
+        path = tmp_path / "matrix.npz"
+        save_at_matrix(at_matrix, path)
+        rewrite_archive(path, as_v2=True)
+        assert verify_archive(path) == []
+
+    @pytest.mark.parametrize("as_v2", [True, False], ids=["v2", "v3"])
+    def test_bit_flip_fails_the_version_checksum(self, at_matrix, tmp_path, as_v2):
+        path = tmp_path / "matrix.npz"
+        save_at_matrix(at_matrix, path)
+        member = rewrite_archive(path, as_v2=as_v2, flip=True)
+        violations = verify_archive(path)
+        assert codes(violations) == ["archive-checksum"]
+        assert [violation.location for violation in violations] == [member]
 
 
 class TestCheckIntegrity:

@@ -18,10 +18,14 @@ fault          behaviour
 =============  ========================================================
 
 Every surviving connection additionally retires after a seeded number of
-complete response *frames* (cut at newline boundaries, so even large
-single-frame payloads deliver intact).  A long-lived client is thereby
-forced to reconnect every few exchanges, walking the whole fault
-schedule instead of parking forever on one lucky clean connection.
+complete response *frames*.  A frame is one JSON line, plus — after a
+result header ``{"ok": true, "result": {..., "bytes": N}}`` — the N raw
+body bytes that follow it, newline bytes included; the proxy parses
+that framing (:class:`_FrameCounter`) so a binary body neither ends a
+frame early nor skews the seeded schedule, and cuts only between whole
+frames.  A long-lived client is thereby forced to reconnect every few
+exchanges, walking the whole fault schedule instead of parking forever
+on one lucky clean connection.
 
 Faults are only injected on the server→client direction: requests reach
 the server intact, so a mangled exchange is always a *lost response*,
@@ -32,6 +36,7 @@ no event loop and works against a server in another process.
 
 from __future__ import annotations
 
+import json
 import socket
 import struct
 import threading
@@ -66,6 +71,50 @@ def _hard_close(sock: socket.socket, *, rst: bool = False) -> None:
         sock.close()
     except OSError:
         pass
+
+
+def _body_length(line: bytes) -> int:
+    """Body bytes that follow the response line ``line`` (0: none)."""
+    try:
+        response = json.loads(line)
+    except ValueError:
+        return 0
+    header = response.get("result") if isinstance(response, dict) else None
+    if response.get("ok") and isinstance(header, dict):
+        return int(header.get("bytes", 0))
+    return 0
+
+
+class _FrameCounter:
+    """Finds whole response frames in a server→client byte stream."""
+
+    def __init__(self) -> None:
+        self._line = bytearray()
+        self._body = 0  # body bytes still to come for the current frame
+
+    def scan(self, data: bytes, budget: int) -> tuple[int, int]:
+        """Consume ``data``: frames completed (at most ``budget``), and the
+        offset just past the last of them (``len(data)`` below budget)."""
+        frames = pos = 0
+        while pos < len(data):
+            if self._body:
+                taken = min(self._body, len(data) - pos)
+                self._body -= taken
+                pos += taken
+            else:
+                newline = data.find(b"\n", pos)
+                if newline == -1:
+                    self._line += data[pos:]
+                    break
+                self._line += data[pos:newline]
+                pos = newline + 1
+                self._body = _body_length(bytes(self._line))
+                self._line.clear()
+            if not self._body and not self._line:
+                frames += 1
+                if frames == budget:
+                    return frames, pos
+        return frames, len(data)
 
 
 def _fault_for(seed: int, connection: int) -> str:
@@ -236,25 +285,23 @@ class ChaosProxy:
 
         forwarded = 0
         retire = False
+        frames = _FrameCounter()
         try:
             while not retire:
                 data = src.recv(_CHUNK)
                 if not data:
                     break
+                if frame_budget is not None:
+                    # keep exactly the remaining whole frames, then retire
+                    completed, cut = frames.scan(data, frame_budget)
+                    data = data[:cut]
+                    frame_budget -= completed
+                    retire = frame_budget == 0
                 if mangle:
                     data = mangle + data
                     mangle = b""
                 if budget is not None:
                     data = data[: max(0, budget - forwarded)]
-                if frame_budget is not None and data.count(b"\n") >= frame_budget:
-                    # keep exactly the remaining whole frames, then retire
-                    cut = -1
-                    for _ in range(frame_budget):
-                        cut = data.index(b"\n", cut + 1)
-                    data = data[: cut + 1]
-                    retire = True
-                elif frame_budget is not None:
-                    frame_budget -= data.count(b"\n")
                 if delay:
                     time.sleep(delay)
                 if data:

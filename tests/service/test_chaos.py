@@ -252,6 +252,8 @@ class TestChaosExactlyOnce:
         finally:
             process.send_signal(signal.SIGTERM)
         assert process.wait(timeout=60) == 0  # drained cleanly
+        stderr = (scripts.parent / "server-stderr-0.log").read_text()
+        assert "Exception in callback" not in stderr, stderr
 
         # ---- the proxy really injected faults -------------------------
         injected = {

@@ -7,9 +7,13 @@ import json
 import numpy as np
 import pytest
 
-from repro import IntegrityError, UnknownJobError
+from repro import COOMatrix, IntegrityError, UnknownJobError, build_at_matrix
 from repro.errors import FormatError
+from repro.formats import load_at_matrix
+from repro.ioutil import crc32c
 from repro.service import JobRecord, JobSpec, JobState, JobStore
+
+from ..conftest import random_sparse_array
 
 
 def spec(job_id: str = "j-1", **overrides) -> JobSpec:
@@ -105,28 +109,89 @@ class TestJobStore:
                 store.job_dir(bad)
 
 
+def flip_member_bit(path, prefixes=("values", "dense_")) -> str:
+    """Flip one bit of a payload member; the checksums member is kept."""
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    name = next(n for n in arrays if n.startswith(prefixes) and arrays[n].size)
+    flipped = np.ascontiguousarray(arrays[name]).copy()
+    flipped.reshape(-1).view(np.uint8)[3] ^= 0x10
+    arrays[name] = flipped
+    np.savez(path, **arrays)
+    return name
+
+
 class TestResults:
     def test_result_round_trip_is_bit_identical(self, tmp_path, rng):
         store = JobStore(tmp_path)
         store.create(JobRecord(spec=spec()))
-        values = rng.random((16, 16))
-        digest = store.save_result("j-1", values)
-        assert digest != 0
+        values = rng.random(16)
+        store.save_result("j-1", values)
+        header, handle = store.open_result("j-1")
+        handle.close()
+        assert header["kind"] == "values" and header["shape"] == [16]
+        assert header["bytes"] == (tmp_path / "j-1" / "result.npz").stat().st_size
         assert store.has_result("j-1")
         loaded = store.load_result("j-1")
         assert np.array_equal(loaded, values)
+
+    def test_at_result_is_stored_partitioned(self, tmp_path, rng, small_config):
+        store = JobStore(tmp_path)
+        store.create(JobRecord(spec=spec()))
+        matrix = build_at_matrix(
+            COOMatrix.from_dense(random_sparse_array(rng, 40, 30, 0.1)), small_config
+        )
+        store.save_result("j-1", matrix)
+        assert load_at_matrix(tmp_path / "j-1" / "result.npz").nnz == matrix.nnz
+        assert np.array_equal(store.load_result("j-1"), matrix.to_dense())
+        header, handle = store.open_result("j-1")
+        with handle:
+            assert header["kind"] == "at" and header["shape"] == [40, 30]
+            assert handle.read() == (tmp_path / "j-1" / "result.npz").read_bytes()
 
     def test_corrupted_result_is_detected(self, tmp_path, rng):
         store = JobStore(tmp_path)
         store.create(JobRecord(spec=spec()))
         store.save_result("j-1", rng.random((8, 8)))
+        # silent bit-rot: a value bit flips, the stored checksums don't
+        flip_member_bit(tmp_path / "j-1" / "result.npz")
+        with pytest.raises(IntegrityError, match="checksum"):
+            store.load_result("j-1")
+
+    def test_flipped_at_result_is_detected(self, tmp_path, rng, small_config):
+        store = JobStore(tmp_path)
+        store.create(JobRecord(spec=spec()))
+        raw = random_sparse_array(rng, 40, 40, 0.1)
+        raw[:10, :10] = rng.random((10, 10))
+        store.save_result(
+            "j-1", build_at_matrix(COOMatrix.from_dense(raw), small_config)
+        )
+        member = flip_member_bit(tmp_path / "j-1" / "result.npz")
+        with pytest.raises(IntegrityError, match=member):
+            store.load_result("j-1")
+
+    def test_flipped_file_byte_is_detected(self, tmp_path, rng):
+        store = JobStore(tmp_path)
+        store.create(JobRecord(spec=spec()))
+        store.save_result("j-1", rng.random(512))
         path = tmp_path / "j-1" / "result.npz"
-        with np.load(path) as archive:
-            values, crc = archive["values"], archive["crc"]
-        values = values.copy()
-        values[0, 0] += 1.0  # silent bit-rot: values change, stored CRC doesn't
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0x01  # inside the values payload
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IntegrityError):
+            store.load_result("j-1")
+
+    def test_result_stored_before_v3_still_loads(self, tmp_path, rng):
+        """A pre-v3 ``result.npz`` (dense values + CRC-32C) verifies."""
+        store = JobStore(tmp_path)
+        store.create(JobRecord(spec=spec()))
+        values = rng.random((6, 5))
+        path = tmp_path / "j-1" / "result.npz"
+        crc = np.array([crc32c(values.tobytes())], dtype=np.uint32)
         np.savez(path, values=values, crc=crc)
-        with pytest.raises(IntegrityError, match="CRC-32C"):
+        assert np.array_equal(store.load_result("j-1"), values)
+        np.savez(path, values=values + 1.0, crc=crc)
+        with pytest.raises(IntegrityError):
             store.load_result("j-1")
 
     def test_missing_result(self, tmp_path):

@@ -14,9 +14,10 @@ import json
 import numpy as np
 import pytest
 
-from repro import COOMatrix, SystemConfig
+from repro import COOMatrix, IntegrityError, SystemConfig
 from repro.service import MatrixRegistry, MatrixService, serve
 from repro.service import protocol as protocol_module
+from repro.service.jobs import decode_result
 
 from ..conftest import random_sparse_array
 
@@ -166,7 +167,12 @@ class TestResultIntegrity:
     def test_corrupted_result_payload_yields_typed_error(
         self, registry, tmp_path
     ):
-        """A result whose stored CRC no longer matches answers typed."""
+        """A corrupt stored result never reads back as values.
+
+        Tampered members under intact checksums reach the reader, whose
+        verification rejects them; a file that is no archive at all is
+        answered with a typed error.  The connection survives both.
+        """
 
         async def scenario():
             service = MatrixService(registry, job_dir=tmp_path / "jobs")
@@ -179,23 +185,25 @@ class TestResultIntegrity:
                     "job": {"op": "multiply", "a": "A", "b": "A"},
                 })
                 job_id = submitted["job_id"]
-                for _ in range(3000):
-                    status = await request(
-                        reader, writer, {"op": "status", "job_id": job_id}
-                    )
-                    if status["status"]["state"] in ("done", "failed"):
-                        break
-                    await asyncio.sleep(0.01)
+                status = await request(
+                    reader, writer, {"op": "wait", "job_id": job_id}
+                )
                 assert status["status"]["state"] == "done", status
 
-                # Corrupt the persisted values but keep the stored digest:
+                # Corrupt the persisted values but keep the stored checksums:
                 # a well-formed archive whose content silently changed.
                 path = tmp_path / "jobs" / job_id / "result.npz"
                 with np.load(path) as archive:
-                    values = np.asarray(archive["values"])
-                    crc = np.asarray(archive["crc"])
-                np.savez(path, values=values + 1.0, crc=crc)
+                    arrays = {name: archive[name] for name in archive.files}
+                name = next(n for n in arrays if n.startswith(("dense_", "values_")))
+                arrays[name] = arrays[name] + 1.0
+                np.savez(path, **arrays)
+                header = await request(
+                    reader, writer, {"op": "result", "job_id": job_id}
+                )
+                body = await reader.readexactly(header["result"]["bytes"])
 
+                path.write_bytes(b"not an archive")
                 error = await request(
                     reader, writer, {"op": "result", "job_id": job_id}
                 )
@@ -203,10 +211,11 @@ class TestResultIntegrity:
                 writer.close()
                 await writer.wait_closed()
                 await service.stop()
-                return error, pong
+                return header, body, error, pong
 
-        error, pong = run(scenario())
+        header, body, error, pong = run(scenario())
+        with pytest.raises(IntegrityError, match="checksum"):
+            decode_result(header["result"]["kind"], body)
         assert not error["ok"]
         assert error["error"]["type"] == "IntegrityError"
-        assert "CRC-32C" in error["error"]["message"]
         assert pong["ok"]  # connection survived the integrity failure

@@ -23,8 +23,9 @@ from repro import (
     UnknownJobError,
     UnknownMatrixError,
 )
-from repro.ioutil import crc32c
 from repro.service import JobState, MatrixRegistry, MatrixService, serve
+from repro.service import server as server_module
+from repro.service.jobs import decode_result
 from repro.service.protocol import STREAM_LIMIT_BYTES
 
 from ..conftest import random_sparse_array
@@ -257,9 +258,46 @@ class TestJobLifecycle:
         assert metrics["metrics"]["service.jobs_failed"]["value"] == 1
 
 
+class TestLongRunningMemory:
+    def test_retained_spans_and_cost_samples_do_not_grow(
+        self, registry, tmp_path, rng, monkeypatch
+    ):
+        """The service's own observation keeps a bounded window of spans
+        and cost samples, while its counters keep accumulating."""
+        monkeypatch.setattr(server_module, "_RETAINED_RECORDS", 40)
+        rhs = rng.random(48).tolist()
+
+        async def scenario():
+            service = MatrixService(registry, job_dir=tmp_path / "jobs", workers=1)
+            observer = service.observer
+            readings = []
+            async with service:
+                for jobs in (3, 6):
+                    for _ in range(3):
+                        job_id = await service.submit(
+                            tenant="t", op="solve", a="SPD", rhs=rhs
+                        )
+                        await service.wait(job_id, timeout=120.0)
+                    dispatched = sum(
+                        payload["value"]
+                        for name, payload in observer.metrics.as_dict().items()
+                        if name.startswith("kernel.dispatch.")
+                    )
+                    readings.append(
+                        (len(observer.tracer), len(observer.cost_accuracy), dispatched)
+                    )
+            return readings
+
+        (spans_3, samples_3, kernels_3), (spans_6, samples_6, kernels_6) = run(scenario())
+        assert kernels_3 > 40  # three jobs alone record more than the window
+        assert kernels_6 > kernels_3  # counters are not bounded
+        assert spans_3 == spans_6 == 40
+        assert samples_3 == samples_6 == 40
+
+
 class TestProtocol:
     def test_tcp_round_trip(self, registry, tmp_path):
-        """submit → poll → result over the JSON-lines TCP endpoint."""
+        """submit → wait → binary result over the JSON-lines TCP endpoint."""
 
         async def request(reader, writer, payload):
             writer.write(json.dumps(payload).encode() + b"\n")
@@ -283,15 +321,13 @@ class TestProtocol:
                 })
                 assert submitted["ok"], submitted
                 job_id = submitted["job_id"]
-                for _ in range(3000):
-                    status = await request(reader, writer,
-                                           {"op": "status", "job_id": job_id})
-                    if status["status"]["state"] in ("done", "failed"):
-                        break
-                    await asyncio.sleep(0.01)
+                status = await request(reader, writer, {
+                    "op": "wait", "job_id": job_id, "timeout": 120.0,
+                })
                 assert status["status"]["state"] == "done", status
                 result = await request(reader, writer,
                                        {"op": "result", "job_id": job_id})
+                body = await reader.readexactly(result["result"]["bytes"])
                 metrics = await request(reader, writer, {"op": "metrics"})
                 # typed errors cross the wire without closing the stream
                 error = await request(reader, writer, {
@@ -301,14 +337,16 @@ class TestProtocol:
                 writer.close()
                 await writer.wait_closed()
                 await service.stop()
-                return result["result"], metrics["metrics"], error
+                return job_id, result["result"], body, metrics["metrics"], error
 
-        payload, metrics, error = run(scenario())
-        values = np.array(payload["values"]).reshape(payload["shape"])
+        job_id, header, body, metrics, error = run(scenario())
+        # The body is the stored AT archive, byte for byte, verified here.
+        assert header["kind"] == "at"
+        assert body == (tmp_path / "jobs" / job_id / "result.npz").read_bytes()
+        values = decode_result(header["kind"], body)
+        assert list(values.shape) == header["shape"]
         expected = dense_of(registry, "A") @ dense_of(registry, "B")
         np.testing.assert_allclose(values, expected, atol=1e-9)
-        digest = crc32c(np.ascontiguousarray(values).tobytes())
-        assert digest == payload["crc32c"]
         assert metrics["jobs"] == {"done": 1}
         assert not error["ok"]
         assert error["error"]["type"] == "UnknownMatrixError"

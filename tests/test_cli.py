@@ -7,7 +7,7 @@ from repro import COOMatrix
 from repro.cli import main
 from repro.formats.matrix_market import read_matrix_market, write_matrix_market
 
-from .conftest import heterogeneous_array
+from .conftest import heterogeneous_array, rewrite_archive
 
 
 @pytest.fixture
@@ -258,6 +258,15 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "archive-unreadable" in captured.out
         assert "integrity violation(s) found" in captured.err
+
+    @pytest.mark.parametrize("as_v2", [True, False], ids=["v2", "v3"])
+    def test_archive_versions_verify(self, archive, capsys, as_v2):
+        rewrite_archive(archive, as_v2=as_v2)
+        assert main(["verify", str(archive)]) == 0
+        assert "OK" in capsys.readouterr().out
+        member = rewrite_archive(archive, flip=True)
+        assert main(["verify", str(archive)]) == 4
+        assert f"archive-checksum [{member}]" in capsys.readouterr().out
 
     def test_unparsable_mtx_exits_four(self, tmp_path, capsys):
         path = tmp_path / "broken.mtx"
