@@ -250,6 +250,7 @@ def _tiled_cost_estimate(
     # Per inner block index, vectorize the per-target-block cost: each
     # block product is charged the cheaper of the sparse-expansion and
     # dense kernels, plus the write cost of its target representation.
+    # Only a sparse target sorts the expansion; a dense one sums in place.
     for inner in range(q):
         rho_a_col = a_grid[:, inner][:, None]  # contributions to rows
         rho_b_row = a_grid[inner, :][None, :]  # self-multiply: B = A
@@ -257,9 +258,9 @@ def _tiled_cost_estimate(
         if not active.any():
             continue
         flops = float(block) ** 3 * rho_a_col * rho_b_row
-        sparse_cost = (
-            model.coefficients.sparse_expand * flops
-            + model.coefficients.sparse_sort * flops * np.log2(np.maximum(2.0, flops))
+        sort = model.coefficients.sparse_sort * flops * np.log2(np.maximum(2.0, flops))
+        sparse_cost = model.coefficients.sparse_expand * flops + np.where(
+            target_dense, 0.0, sort
         )
         dense_cost = model.coefficients.dense_flop * float(block) ** 3
         compute = np.minimum(sparse_cost, dense_cost)

@@ -25,7 +25,7 @@ import numpy as np
 from ..formats.csr import CSRMatrix
 from ..formats.dense import DenseMatrix
 from ..kernels import gemm
-from .model import CostCoefficients, DEFAULT_COEFFICIENTS
+from .model import DEFAULT_COEFFICIENTS, CostCoefficients, _nlogn
 
 
 def _random_csr(rng: np.random.Generator, rows: int, cols: int, density: float) -> CSRMatrix:
@@ -73,17 +73,18 @@ def calibrate(
     t_dspd = _time(lambda: gemm.dspd_gemm(a_d, b_sp), repeats=repeats)
     dsp_flop = t_dspd / max(1.0, float(size) * b_sp.nnz)
 
-    # sparse x sparse -> sparse: expansion + sort dominate.
+    # sparse x sparse: a dense target scatters the expansion unsorted, so
+    # spspd isolates the expansion; spspsp's excess over it is the sort.
     expansion = volume * a_sp.density * b_sp.density
+    t_spspd = _time(lambda: gemm.spspd_gemm(a_sp, b_sp), repeats=repeats)
     t_spspsp = _time(lambda: gemm.spspsp_gemm(a_sp, b_sp), repeats=repeats)
-    # Split measured time between expand and sort terms at the default ratio.
+    sparse_expand = t_spspd / max(1.0, expansion)
     base = DEFAULT_COEFFICIENTS
-    default_total = base.sparse_expand * expansion + base.sparse_sort * expansion * max(
-        1.0, math.log2(max(2.0, expansion))
-    )
-    scale = t_spspsp / default_total if default_total > 0 else 1.0
-    sparse_expand = base.sparse_expand * scale
-    sparse_sort = base.sparse_sort * scale
+    excess = t_spspsp - t_spspd
+    if excess > 0:
+        sparse_sort = excess / max(1.0, _nlogn(expansion))
+    else:  # timer noise swallowed the sort: keep the default proportion
+        sparse_sort = base.sparse_sort * sparse_expand / base.sparse_expand
 
     # dense write throughput: accumulate a block into an array.
     block = rng.random((size, size))

@@ -6,7 +6,9 @@ result density ``rho_c``.  Work terms follow the implemented algorithms:
 
 * sparse expansion flops ``F = m * k * n * rho_a * rho_b`` — the expected
   scalar product count of Gustavson's algorithm;
-* sort/merge work ``F * log2(F)`` for compressing sparse expansions;
+* sort/merge work ``F * log2(F)`` for compressing sparse expansions,
+  charged only when the target is sparse — a dense target sums the
+  expansion in place;
 * dense flops ``m * k * n`` for BLAS;
 * write costs asymmetric between dense targets (cheap accumulation into an
   array) and sparse targets (buffered triples merged by a global sort) —
@@ -122,7 +124,9 @@ class CostModel:
 
         if a_kind is StorageKind.SPARSE and b_kind is StorageKind.SPARSE:
             flops = volume * rho_a * rho_b
-            compute = c.sparse_expand * flops + c.sparse_sort * _nlogn(flops)
+            compute = c.sparse_expand * flops
+            if c_kind is StorageKind.SPARSE:
+                compute += c.sparse_sort * _nlogn(flops)
             produced = min(flops, float(m) * n)  # triples after compression
         elif a_kind is StorageKind.SPARSE:  # sparse x dense
             flops = volume * rho_a

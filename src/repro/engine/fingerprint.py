@@ -30,8 +30,10 @@ against the same operand cost one digest, not one per call.
 The second half of the key is :func:`config_fingerprint`: every input of
 the planning pipeline that is *not* operand topology — the
 :class:`~repro.config.SystemConfig`, the cost model's coefficients and
-thresholds, the memory limit and the ablation flags.  Two calls agree on
-a cached plan only when both halves match.
+thresholds, the memory limit, the ablation flags and the kernel revision
+(:data:`~repro.kernels.registry.KERNEL_REVISION`, so plans and checkpoint
+journals never mix results of different kernel arithmetic).  Two calls
+agree on a cached plan only when both halves match.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from ..cost.model import CostModel
 from ..core.atmatrix import ATMatrix
 from ..formats.csr import CSRMatrix
 from ..formats.dense import DenseMatrix
+from ..kernels.registry import KERNEL_REVISION
 
 
 def _digest(*chunks: bytes) -> str:
@@ -144,6 +147,7 @@ def config_fingerprint(
         f"mem={memory_limit_bytes!r}",
         f"conv={dynamic_conversion}",
         f"est={use_estimation}",
+        f"kernels={KERNEL_REVISION}",
     ]
     coefficients = cost_model.coefficients
     parts.extend(

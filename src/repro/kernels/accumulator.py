@@ -6,7 +6,9 @@ accumulator flavors mirror the paper's write-side representations:
 
 :class:`DenseAccumulator`
     wraps a dense array; every product adds in place (cheap writes, the
-    reason ``spspd_gemm`` beats ``spspsp_gemm`` on dense outputs).
+    reason ``spspd_gemm`` beats ``spspsp_gemm`` on dense outputs).  A
+    sparse x sparse expansion is scattered in uncompressed — duplicate
+    coordinates sum on write, so nothing is sorted.
 
 :class:`SparseAccumulator`
     the classical SPA realized as a triple buffer: products append
@@ -46,22 +48,34 @@ class DenseAccumulator:
         self.writes += block.size
 
     def add_triples(
-        self, row0: int, col0: int, rows: IndexArray, cols: IndexArray, values: FloatArray
+        self,
+        row0: int,
+        col0: int,
+        rows: IndexArray,
+        cols: IndexArray,
+        values: FloatArray,
+        *,
+        shape: tuple[int, int] | None = None,
     ) -> None:
         """Scatter-add coordinate triples at offset ``(row0, col0)``.
 
-        Large scatters go through ``bincount`` (a dense histogram pass,
-        ~2x faster than ``np.add.at``); small ones scatter directly to
-        avoid allocating an accumulator of the full tile area.
+        Coordinates may repeat (they sum), so a raw product expansion
+        needs no compression first.  ``shape`` is the window the triples
+        fall in (default: the rest of the array).  Scatters large
+        relative to that window go through ``bincount`` over its area (a
+        dense histogram pass, ~2x faster than ``np.add.at``); small ones
+        scatter directly so no scratch of the window area is allocated.
         """
-        area = self.rows * self.cols
+        win_rows, win_cols = shape or (self.rows - row0, self.cols - col0)
+        area = win_rows * win_cols
+        target = self.array[row0 : row0 + win_rows, col0 : col0 + win_cols]
         if len(values) * 8 >= area:
-            flat = (rows + row0) * np.int64(self.cols) + (cols + col0)
-            self.array.ravel()[:] += np.bincount(
-                flat, weights=values, minlength=area
+            flat = rows * np.int64(win_cols) + cols
+            target += np.bincount(flat, weights=values, minlength=area).reshape(
+                win_rows, win_cols
             )
         else:
-            np.add.at(self.array, (rows + row0, cols + col0), values)
+            np.add.at(target, (rows, cols), values)
         self.writes += len(values)
 
     def finalize(self) -> DenseMatrix:

@@ -1,18 +1,23 @@
 """Windowed tile-product primitives underlying the 8 multiplication kernels.
 
 Four product routines cover the (sparse|dense) x (sparse|dense) operand
-combinations; each exists in a variant producing a dense block and one
-producing compressed coordinate triples, giving the paper's ``2**3 = 8``
-kernels once combined with the two accumulator flavors.
+combinations; each exists in a variant for a dense target (a dense block,
+or for sparse x sparse the raw expansion) and one producing compressed
+coordinate triples, giving the paper's ``2**3 = 8`` kernels once combined
+with the two accumulator flavors.
 
 Sparse products follow Gustavson's row-wise algorithm in vectorized
-*expand-sort-compress* form: every non-zero ``A[i,k]`` is expanded against
-row ``k`` of ``B``, and the expansion is merged by sorting on the target
-coordinate.  All routines chunk their expansion buffers so peak memory
-stays bounded regardless of operand size.
+form: every non-zero ``A[i,k]`` is expanded against row ``k`` of ``B``
+(:func:`spsp_expansion`).  A dense target sums that expansion in place,
+duplicates and all; only a sparse target pays for merging it by sorting
+on the target coordinate (:func:`spsp_triples`, *expand-sort-compress*).
+All routines chunk their expansion buffers so peak memory stays bounded
+regardless of operand size.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -76,8 +81,20 @@ def _csr_row_ranges(
 
 
 def _csr_window_triples(matrix: CSRMatrix, window: Window) -> Triples:
-    """Window-relative triples of a CSR operand, row-major order."""
+    """Window-relative triples of a CSR operand, row-major order.
+
+    A full-width window is one contiguous storage slice (returned as
+    views, no search and no gather); a narrower one resolves its
+    per-row column ranges by binary search and gathers the segments.
+    """
     window.validate_within(matrix.shape)
+    if window.col0 == 0 and window.col1 == matrix.cols:
+        bounds = matrix.indptr[window.row0 : window.row1 + 1]
+        start, end = int(bounds[0]), int(bounds[-1])
+        if start == end:
+            return _empty_triples()
+        rows = np.repeat(np.arange(window.rows, dtype=np.int64), np.diff(bounds))
+        return rows, matrix.indices[start:end], matrix.values[start:end]
     lo, hi = _csr_row_ranges(matrix, window)
     lengths = hi - lo
     total = int(lengths.sum())
@@ -91,22 +108,24 @@ def _csr_window_triples(matrix: CSRMatrix, window: Window) -> Triples:
 # ---------------------------------------------------------------------------
 # sparse x sparse
 # ---------------------------------------------------------------------------
-def spsp_triples(a: CSRMatrix, wa: Window, b: CSRMatrix, wb: Window) -> Triples:
-    """Windowed CSR x CSR product as compressed triples (Gustavson)."""
+def spsp_expansion(
+    a: CSRMatrix, wa: Window, b: CSRMatrix, wb: Window
+) -> Iterator[Triples]:
+    """Uncompressed Gustavson expansion of a windowed CSR x CSR product.
+
+    Yields window-relative ``(rows, cols, products)`` chunks of at most
+    :data:`EXPANSION_CHUNK` elements (one ``A`` non-zero's run may exceed
+    it); a target coordinate may repeat within and across chunks.
+    """
     _check_inner(wa, wb)
     a_rows, a_cols, a_vals = _csr_window_triples(a, wa)
     if not len(a_vals):
-        return _empty_triples()
+        return
     b_lo, b_hi = _csr_row_ranges(b, wb)
-    b_lengths = b_hi - b_lo
-    lens = b_lengths[a_cols]
+    lens = (b_hi - b_lo)[a_cols]
     cumulative = np.cumsum(lens)
-    total = int(cumulative[-1]) if len(cumulative) else 0
-    if not total:
-        return _empty_triples()
-    row_runs: list[IndexArray] = []
-    col_runs: list[IndexArray] = []
-    val_runs: list[FloatArray] = []
+    if not cumulative[-1]:
+        return
     start = 0
     while start < len(a_vals):
         base = cumulative[start - 1] if start else 0
@@ -114,22 +133,30 @@ def spsp_triples(a: CSRMatrix, wa: Window, b: CSRMatrix, wb: Window) -> Triples:
         end = min(max(end, start + 1), len(a_vals))
         chunk_lens = lens[start:end]
         take = _segment_gather_indices(b_lo[a_cols[start:end]], chunk_lens)
-        out_rows = np.repeat(a_rows[start:end], chunk_lens)
-        out_cols = b.indices[take] - wb.col0
-        out_vals = np.repeat(a_vals[start:end], chunk_lens) * b.values[take]
-        rows_c, cols_c, vals_c = compress_triples(out_rows, out_cols, out_vals, wb.cols)
-        row_runs.append(rows_c)
-        col_runs.append(cols_c)
-        val_runs.append(vals_c)
+        yield (
+            np.repeat(a_rows[start:end], chunk_lens),
+            b.indices[take] - wb.col0,
+            np.repeat(a_vals[start:end], chunk_lens) * b.values[take],
+        )
         start = end
-    if len(row_runs) == 1:
-        return row_runs[0], col_runs[0], val_runs[0]
-    return compress_triples(
-        np.concatenate(row_runs),
-        np.concatenate(col_runs),
-        np.concatenate(val_runs),
-        wb.cols,
-    )
+
+
+def spsp_triples(a: CSRMatrix, wa: Window, b: CSRMatrix, wb: Window) -> Triples:
+    """Windowed CSR x CSR product as compressed triples (expand-sort-compress).
+
+    The sort is the price of a sparse target; dense targets scatter
+    :func:`spsp_expansion` directly instead.
+    """
+    runs = [
+        compress_triples(rows, cols, values, wb.cols)
+        for rows, cols, values in spsp_expansion(a, wa, b, wb)
+    ]
+    if not runs:
+        return _empty_triples()
+    if len(runs) == 1:
+        return runs[0]
+    rows, cols, values = (np.concatenate(parts) for parts in zip(*runs, strict=True))
+    return compress_triples(rows, cols, values, wb.cols)
 
 
 def spsp_flops(a: CSRMatrix, wa: Window, b: CSRMatrix, wb: Window) -> int:
@@ -140,14 +167,6 @@ def spsp_flops(a: CSRMatrix, wa: Window, b: CSRMatrix, wb: Window) -> int:
         return 0
     b_lo, b_hi = _csr_row_ranges(b, wb)
     return int((b_hi - b_lo)[a_cols].sum())
-
-
-def spsp_dense(a: CSRMatrix, wa: Window, b: CSRMatrix, wb: Window) -> FloatArray:
-    """Windowed CSR x CSR product materialized as a dense block."""
-    rows, cols, values = spsp_triples(a, wa, b, wb)
-    out = np.zeros((wa.rows, wb.cols), dtype=np.float64)
-    out[rows, cols] = values
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +265,8 @@ def dd_triples(a: DenseMatrix, wa: Window, b: DenseMatrix, wb: Window) -> Triple
 __all__ = [
     "EXPANSION_CHUNK",
     "compress_triples",
+    "spsp_expansion",
     "spsp_triples",
-    "spsp_dense",
     "spsp_flops",
     "spd_dense",
     "spd_triples",

@@ -27,6 +27,13 @@ from .window import Window
 
 Operand = CSRMatrix | DenseMatrix
 
+#: Revision of the built-in kernels' arithmetic.  It enters every plan
+#: fingerprint, so a cached plan or checkpoint journal is only replayed by
+#: the kernels that produced it; bump it whenever a kernel change can alter
+#: result bits.  2: sparse x sparse scatters its raw expansion into dense
+#: targets (1 sorted and compressed it first).
+KERNEL_REVISION = 2
+
 
 class Kernel(Protocol):
     """Callable signature of a tile multiplication kernel."""
@@ -56,9 +63,14 @@ def _kernel_sp_sp(
     a: Operand, wa: Window, b: Operand, wb: Window,
     out: Accumulator, row0: int, col0: int,
 ) -> None:
-    # Both accumulator flavors take the compressed expansion as triples;
-    # the write-cost asymmetry materializes in the accumulator itself.
-    out.add_triples(row0, col0, *products.spsp_triples(a, wa, b, wb))
+    if isinstance(out, DenseAccumulator):
+        # A dense target sums duplicates on write: scatter the raw
+        # expansion into the product's window, nothing to sort.
+        shape = (wa.rows, wb.cols)
+        for rows, cols, values in products.spsp_expansion(a, wa, b, wb):
+            out.add_triples(row0, col0, rows, cols, values, shape=shape)
+    else:
+        out.add_triples(row0, col0, *products.spsp_triples(a, wa, b, wb))
 
 
 def _kernel_sp_d(

@@ -25,6 +25,14 @@ class TestCalibration:
         turnaround = model.solve_write_turnaround(64, 64, 64, 0.05, 0.05)
         assert 0.0 < turnaround <= 1.0
 
+    def test_calibrated_write_turnaround_below_read(self, coefficients):
+        """The read/write asymmetry survives fitting the sparse terms from
+        spspd (expansion only) and spspsp's excess over it (the sort)."""
+        model = CostModel(coefficients)
+        write = model.solve_write_turnaround(64, 64, 64, 0.05, 0.05)
+        read = model.solve_read_turnaround(64, 64, 64, 0.05, 0.3)
+        assert write < read
+
     def test_describe_lists_every_coefficient(self, coefficients):
         text = describe(coefficients)
         for name in vars(coefficients):

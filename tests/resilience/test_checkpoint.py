@@ -17,8 +17,10 @@ from repro import (
     build_at_matrix,
     parallel_atmult,
 )
+from repro.engine import fingerprint
 from repro.errors import IntegrityError
 from repro.ioutil import crc32c
+from repro.kernels.registry import KERNEL_REVISION
 from repro.topology.system import SystemTopology
 
 from ..conftest import heterogeneous_array
@@ -110,6 +112,17 @@ class TestJournalValidation:
         )
         with pytest.raises(PlanMismatchError, match="different plan"):
             run(at_a, other, small_config, tmp_path, resume=True)
+
+    def test_previous_kernel_revision_refused(
+        self, workload, small_config, tmp_path, monkeypatch
+    ):
+        """A journal written by older kernel arithmetic is never resumed."""
+        _, _, at_a, at_b = workload
+        with monkeypatch.context() as patch:
+            patch.setattr(fingerprint, "KERNEL_REVISION", KERNEL_REVISION - 1)
+            run(at_a, at_b, small_config, tmp_path)
+        with pytest.raises(PlanMismatchError, match="different plan"):
+            run(at_a, at_b, small_config, tmp_path, resume=True)
 
     def test_tampered_record_fails_its_crc(self, workload, small_config, tmp_path):
         _, _, at_a, at_b = workload
