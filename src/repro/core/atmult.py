@@ -9,14 +9,16 @@ independently a plain matrix (dense array or CSR) or an AT Matrix:
 3. iterate tile-row/tile-column pairs; allocate each target tile dense or
    sparse according to its estimated final density;
 4. for every matching inner tile pair, compute the reference windows and
-   let the dynamic optimizer pick (and JIT-convert to) the cheapest input
+   let the cost model pick (and JIT-convert to) the cheapest input
    representations before dispatching the kernel.
 
 Since the engine redesign, steps 1-3 plus the per-product kernel
 decisions are the *planning* half (:func:`repro.engine.plan.build_plan`)
 and the kernel dispatch is the *execution* half
 (:func:`repro.engine.executor.execute_plan`); this module is the
-operator front-end gluing them together.  Pass
+sequential operator front-end over
+:func:`repro.engine.api.run_multiply`, the body it shares with
+:func:`~repro.core.parallel.parallel_atmult`.  Pass
 ``options=MultiplyOptions(plan_cache=PlanCache())`` (or drive the call
 through a :class:`repro.Session`) and repeated multiplications over the
 same operand topology skip estimation, partitioning and optimization
@@ -41,14 +43,11 @@ from __future__ import annotations
 
 import logging
 
-from ..engine.api import fold_plan_phases, resolve_plan
-from ..engine.executor import execute_plan
+from ..engine.api import run_multiply
 from ..engine.options import MultiplyOptions
-from ..errors import ShapeError
 from ..formats.dense import DenseMatrix
-from ..observe import session as observe_session
 from .atmatrix import ATMatrix
-from .operands import MatrixOperand, as_at_matrix
+from .operands import MatrixOperand
 from .report import MultiplyReport
 
 __all__ = ["atmult", "enforce_memory_limit"]
@@ -84,42 +83,10 @@ def atmult(
     (result, report):
         The product as an :class:`ATMatrix` plus the phase report.
     """
-    opts = options if options is not None else MultiplyOptions()
-    if a.cols != b.rows:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    if c is not None and c.shape != (a.rows, b.cols):
-        raise ShapeError(f"C shape {c.shape} != result shape {(a.rows, b.cols)}")
-    resolved_config = opts.resolved_config()
-    resolved_model = opts.resolved_cost_model()
-    with observe_session.resolve(opts.observer) as obs:
-        at_a = as_at_matrix(a, resolved_config)
-        at_b = as_at_matrix(b, resolved_config)
-        at_c = as_at_matrix(c, resolved_config) if c is not None else None
-        plan, fresh = resolve_plan(
-            at_a,
-            at_b,
-            config=resolved_config,
-            cost_model=resolved_model,
-            options=opts,
-            obs=obs,
-        )
-        result, report = execute_plan(
-            plan,
-            at_a,
-            at_b,
-            at_c,
-            config=resolved_config,
-            cost_model=resolved_model,
-            resilience=opts.resilience,
-            obs=obs,
-            check_fingerprints=False,  # resolve_plan keyed/built on these operands
-            checkpoint=opts.checkpoint,
-            checkpoint_flush_pairs=opts.checkpoint_flush_pairs,
-            cancel=opts.cancel,
-        )
-        assert isinstance(report, MultiplyReport)
-        if fresh:
-            fold_plan_phases(report, plan)
+    result, report, fresh = run_multiply(
+        a, b, c, options=options if options is not None else MultiplyOptions()
+    )
+    assert isinstance(report, MultiplyReport)
     logger.debug(
         "atmult %sx%s @ %sx%s -> nnz=%d in %.3fs "
         "(estimate %.1f%%, optimize %.1f%%, %d conversions, kernels %s, "

@@ -3,11 +3,11 @@
 Paper section III-F: pairs ``(ti, tj)`` of A tile-rows and B tile-columns
 form independent task sets; all tile products of one pair run on the same
 worker team, different pairs run on different teams concurrently.  This
-module executes that scheme on top of the same engine the sequential
-operator uses: the plan is resolved once
-(:func:`repro.engine.api.resolve_plan`, possibly from the plan cache,
-and *shared* with the sequential path — the plan key deliberately
-excludes the execution mode) and the planned pairs are dispatched by
+module executes that scheme through the same body the sequential
+operator uses, :func:`repro.engine.api.run_multiply`: the plan is
+resolved once (possibly from the plan cache, and *shared* with the
+sequential path — the plan key deliberately excludes the execution
+mode) and the planned pairs are dispatched by
 :func:`repro.engine.executor.execute_plan` to one of two backends,
 selected by ``MultiplyOptions.execution``:
 
@@ -48,14 +48,11 @@ from __future__ import annotations
 
 import warnings
 
-from ..engine.api import fold_plan_phases, resolve_plan
-from ..engine.executor import execute_plan
+from ..engine.api import run_multiply
 from ..engine.options import MultiplyOptions
-from ..errors import ShapeError
-from ..observe import session as observe_session
 from ..topology.system import SystemTopology
 from .atmatrix import ATMatrix
-from .operands import MatrixOperand, as_at_matrix
+from .operands import MatrixOperand
 from .report import ParallelReport
 
 __all__ = ["parallel_atmult"]
@@ -83,10 +80,6 @@ def parallel_atmult(
     skipped and every target tile is sparse (ablation step 3).
     """
     opts = options if options is not None else MultiplyOptions()
-    if a.cols != b.rows:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    resolved_config = opts.resolved_config()
-    resolved_model = opts.resolved_cost_model()
     worker_count = opts.workers if opts.workers is not None else topology.sockets
     execution = opts.execution
     if execution == "processes":
@@ -102,37 +95,8 @@ def parallel_atmult(
                 stacklevel=2,
             )
             execution = "threads"
-    with observe_session.resolve(opts.observer) as obs:
-        at_a = as_at_matrix(a, resolved_config)
-        at_b = as_at_matrix(b, resolved_config)
-        plan, fresh = resolve_plan(
-            at_a,
-            at_b,
-            config=resolved_config,
-            cost_model=resolved_model,
-            options=opts,
-            obs=obs,
-        )
-        result, report = execute_plan(
-            plan,
-            at_a,
-            at_b,
-            config=resolved_config,
-            cost_model=resolved_model,
-            resilience=opts.resilience,
-            obs=obs,
-            parallel=True,
-            workers=worker_count,
-            execution=execution,
-            heartbeat_interval=opts.heartbeat_interval_seconds,
-            pair_deadline_seconds=opts.pair_deadline_seconds,
-            check_fingerprints=False,  # resolve_plan keyed/built on these operands
-            checkpoint=opts.checkpoint,
-            checkpoint_flush_pairs=opts.checkpoint_flush_pairs,
-            cancel=opts.cancel,
-            startup_grace_seconds=opts.startup_grace_seconds,
-        )
-        assert isinstance(report, ParallelReport)
-        if fresh:
-            fold_plan_phases(report, plan)
+    result, report, _ = run_multiply(
+        a, b, options=opts, execution=execution, workers=worker_count
+    )
+    assert isinstance(report, ParallelReport)
     return result, report

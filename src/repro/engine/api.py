@@ -4,11 +4,12 @@
 :class:`~repro.engine.plan.ExecutionPlan` (through the options' plan
 cache when one is configured); :func:`execute` replays a plan against
 same-topology operands.  ``atmult(a, b)`` is exactly
-``execute(plan(a, b), a, b)`` — the operator front-ends in
-:mod:`repro.core` route through :func:`resolve_plan` so iterative
-workloads skip estimation, partitioning and optimization from the
-second call on.  :func:`run_chain` is the one execution loop for matrix
-chains: hop by hop when cold, one fused replay when a cached
+``execute(plan(a, b), a, b)`` — both operator front-ends in
+:mod:`repro.core` share one body, :func:`run_multiply`, which routes
+through :func:`resolve_plan` so iterative workloads (the solvers'
+``A @ x`` included) skip estimation, partitioning and optimization from
+the second call on.  :func:`run_chain` is the one execution loop for
+matrix chains: hop by hop when cold, one fused replay when a cached
 :class:`~repro.engine.plan.FusedChainPlan` applies.
 """
 
@@ -17,11 +18,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
-from ..config import SystemConfig
 from ..core.atmatrix import ATMatrix
 from ..core.operands import MatrixOperand, as_at_matrix
-from ..core.report import BaseReport, MultiplyReport
-from ..cost.model import CostModel
+from ..core.report import BaseReport, MultiplyReport, ParallelReport
 from ..errors import ConfigError, PlanMismatchError, ShapeError
 from ..observe import Observation
 from ..observe import session as observe_session
@@ -50,8 +49,6 @@ def resolve_plan(
     at_a: ATMatrix,
     at_b: ATMatrix,
     *,
-    config: SystemConfig,
-    cost_model: CostModel,
     options: MultiplyOptions,
     obs: Observation | None,
 ) -> tuple[ExecutionPlan, bool]:
@@ -62,43 +59,19 @@ def resolve_plan(
     caller's report).
     """
     cache = options.plan_cache
-    if cache is None:
-        built = build_plan(
-            at_a,
-            at_b,
-            config=config,
-            cost_model=cost_model,
-            memory_limit_bytes=options.memory_limit_bytes,
-            dynamic_conversion=options.dynamic_conversion,
-            use_estimation=options.use_estimation,
-            obs=obs,
+    key = None
+    if cache is not None:
+        key = PlanKey(
+            structure_fingerprint(at_a),
+            structure_fingerprint(at_b),
+            config_fingerprint(options),
         )
-        return built, True
-    key = PlanKey(
-        structure_fingerprint(at_a),
-        structure_fingerprint(at_b),
-        config_fingerprint(
-            config,
-            cost_model,
-            memory_limit_bytes=options.memory_limit_bytes,
-            dynamic_conversion=options.dynamic_conversion,
-            use_estimation=options.use_estimation,
-        ),
-    )
-    cached = cache.get(key)
-    if cached is not None:
-        return cached, False
-    built = build_plan(
-        at_a,
-        at_b,
-        config=config,
-        cost_model=cost_model,
-        memory_limit_bytes=options.memory_limit_bytes,
-        dynamic_conversion=options.dynamic_conversion,
-        use_estimation=options.use_estimation,
-        obs=obs,
-    )
-    cache.put(key, built)
+        cached = cache.get(key)
+        if isinstance(cached, ExecutionPlan):
+            return cached, False
+    built = build_plan(at_a, at_b, options=options, obs=obs)
+    if cache is not None and key is not None:
+        cache.put(key, built)
     return built, True
 
 
@@ -141,19 +114,11 @@ def plan(
     opts = options if options is not None else MultiplyOptions()
     if a.cols != b.rows:
         raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    resolved_config = opts.resolved_config()
-    resolved_model = opts.resolved_cost_model()
+    config = opts.resolved_config()
     with observe_session.resolve(opts.observer) as obs:
-        at_a = as_at_matrix(a, resolved_config)
-        at_b = as_at_matrix(b, resolved_config)
-        resolved, _ = resolve_plan(
-            at_a,
-            at_b,
-            config=resolved_config,
-            cost_model=resolved_model,
-            options=opts,
-            obs=obs,
-        )
+        at_a = as_at_matrix(a, config)
+        at_b = as_at_matrix(b, config)
+        resolved, _ = resolve_plan(at_a, at_b, options=opts, obs=obs)
     return resolved
 
 
@@ -171,32 +136,65 @@ def execute(
     operand's structure fingerprint differs from the plan's.
     """
     opts = options if options is not None else MultiplyOptions()
-    resolved_config = opts.resolved_config()
-    resolved_model = opts.resolved_cost_model()
+    config = opts.resolved_config()
     if c is not None and c.shape != execution_plan.shape:
         raise ShapeError(
             f"C shape {c.shape} != result shape {execution_plan.shape}"
         )
     with observe_session.resolve(opts.observer) as obs:
-        at_a = as_at_matrix(a, resolved_config)
-        at_b = as_at_matrix(b, resolved_config)
-        at_c = as_at_matrix(c, resolved_config) if c is not None else None
+        at_a = as_at_matrix(a, config)
+        at_b = as_at_matrix(b, config)
+        at_c = as_at_matrix(c, config) if c is not None else None
         result, report = execute_plan(
-            execution_plan,
-            at_a,
-            at_b,
-            at_c,
-            config=resolved_config,
-            cost_model=resolved_model,
-            resilience=opts.resilience,
-            obs=obs,
-            check_fingerprints=True,
-            checkpoint=opts.checkpoint,
-            checkpoint_flush_pairs=opts.checkpoint_flush_pairs,
-            cancel=opts.cancel,
+            execution_plan, at_a, at_b, at_c, options=opts, obs=obs
         )
     assert isinstance(report, MultiplyReport)
     return result, report
+
+
+def run_multiply(
+    a: MatrixOperand,
+    b: MatrixOperand,
+    c: MatrixOperand | None = None,
+    *,
+    options: MultiplyOptions,
+    execution: str = "sequential",
+    workers: int = 1,
+) -> tuple[ATMatrix, MultiplyReport | ParallelReport, bool]:
+    """Resolve, execute and fold one product: every front door's body.
+
+    :func:`~repro.core.atmult.atmult` runs it sequentially and
+    :func:`~repro.core.parallel.parallel_atmult` on a parallel backend.
+    The plan comes from :func:`resolve_plan` (the options' plan cache
+    when one is set), runs through
+    :func:`~repro.engine.executor.execute_plan`, and a freshly built
+    plan's phase durations are folded into the report.  Returns
+    ``(result, report, fresh)``.
+    """
+    if a.cols != b.rows:
+        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
+    if c is not None and c.shape != (a.rows, b.cols):
+        raise ShapeError(f"C shape {c.shape} != result shape {(a.rows, b.cols)}")
+    config = options.resolved_config()
+    with observe_session.resolve(options.observer) as obs:
+        at_a = as_at_matrix(a, config)
+        at_b = as_at_matrix(b, config)
+        at_c = as_at_matrix(c, config) if c is not None else None
+        resolved, fresh = resolve_plan(at_a, at_b, options=options, obs=obs)
+        result, report = execute_plan(
+            resolved,
+            at_a,
+            at_b,
+            at_c,
+            options=options,
+            obs=obs,
+            execution=execution,
+            workers=workers,
+            check_fingerprints=False,  # resolve_plan keyed/built on these operands
+        )
+        if fresh:
+            fold_plan_phases(report, resolved)
+    return result, report, fresh
 
 
 def _expected_tiles(
@@ -246,8 +244,6 @@ def _run_chain_cold(
     chain: ChainPlan,
     *,
     options: MultiplyOptions,
-    config: SystemConfig,
-    cost_model: CostModel,
     report: ChainReport,
     obs: Observation | None,
 ) -> tuple[ATMatrix, list[PlannedHop]]:
@@ -270,26 +266,14 @@ def _run_chain_cold(
     for i, k, j in chain.order:
         left = results[(i, k)]
         right = results[(k + 1, j)]
-        hop_plan, fresh = resolve_plan(
-            left,
-            right,
-            config=config,
-            cost_model=cost_model,
-            options=options,
-            obs=obs,
-        )
+        hop_plan, fresh = resolve_plan(left, right, options=options, obs=obs)
         product, step_report = execute_plan(
             hop_plan,
             left,
             right,
-            config=config,
-            cost_model=cost_model,
-            resilience=options.resilience,
+            options=options,
             obs=obs,
             check_fingerprints=False,
-            checkpoint=options.checkpoint,
-            checkpoint_flush_pairs=options.checkpoint_flush_pairs,
-            cancel=options.cancel,
         )
         assert isinstance(step_report, MultiplyReport)
         if fresh:
@@ -352,13 +336,7 @@ def run_chain(
     resolved_model = options.resolved_cost_model()
     ats = [as_at_matrix(operand, resolved_config) for operand in operands]
     fingerprints = tuple(structure_fingerprint(at) for at in ats)
-    setup = config_fingerprint(
-        resolved_config,
-        resolved_model,
-        memory_limit_bytes=options.memory_limit_bytes,
-        dynamic_conversion=options.dynamic_conversion,
-        use_estimation=options.use_estimation,
-    )
+    setup = config_fingerprint(options)
     key = ChainKey(fingerprints, setup)
     cache = options.plan_cache if chain_fusable(options) else None
 
@@ -400,13 +378,7 @@ def run_chain(
         )
     report.plan = chain
     result, hops = _run_chain_cold(
-        ats,
-        chain,
-        options=options,
-        config=resolved_config,
-        cost_model=resolved_model,
-        report=report,
-        obs=obs,
+        ats, chain, options=options, report=report, obs=obs
     )
     schedule, frees = fused_chain_schedule(tuple(hops))
     fused = FusedChainPlan(

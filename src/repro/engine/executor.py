@@ -26,7 +26,9 @@ live re-derivation when degradation changed the target kind), kernel
 dispatch, and the resilience wrapper —
 :class:`~repro.resilience.retry.ResilientPairRunner` when a policy is
 given: bounded retries, result validation with reference fallback and
-memory-pressure degradation.
+memory-pressure degradation.  The post-run step they share is
+:func:`finish_run`: the aggregated pair-failure report and the
+memory-limit repair.
 
 Replaying against operands whose structure fingerprint differs from the
 plan's raises :class:`~repro.errors.PlanMismatchError`.
@@ -39,8 +41,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
-
-import numpy as np
 
 from ..config import SystemConfig
 from ..cost.model import CostModel
@@ -68,7 +68,6 @@ from ..kinds import StorageKind, kernel_name
 from ..observe import Observation
 from ..observe import session as observe_session
 from ..resilience.cancel import CancelToken
-from ..resilience.checkpoint import CheckpointStore
 from ..resilience.degrade import DegradationState
 from ..resilience.faults import fire_hooks, task_scope
 from ..resilience.guard import reference_tile_product, validate_tile
@@ -76,6 +75,7 @@ from ..resilience.report import FailureReport, aggregate_message
 from ..resilience.retry import ResilientPairRunner, RetryPolicy
 from ..topology.trace import TaskRecord
 from .fingerprint import payload_fingerprint, structure_fingerprint
+from .options import MultiplyOptions
 from .plan import (
     ExecutionPlan,
     FusedChainPlan,
@@ -110,10 +110,10 @@ class _PairOutcome:
 class _ConversionCache:
     """Cached just-in-time tile conversions (one per tile, at most).
 
-    The execution-time twin of the legacy optimizer's conversion cache:
-    decisions live in the plan, but the converted payloads are runtime
+    Decisions live in the plan, but the converted payloads are runtime
     state keyed by tile identity — a tile converted for one product is
-    reused by every later product of the same run.
+    reused by every later product of the same run, so a run converts
+    each tile at most once.
     """
 
     def __init__(self) -> None:
@@ -455,87 +455,63 @@ def execute_plan(
     at_b: ATMatrix,
     at_c: ATMatrix | None = None,
     *,
-    config: SystemConfig,
-    cost_model: CostModel,
-    resilience: RetryPolicy | None = None,
-    obs: Observation | None = None,
-    parallel: bool = False,
+    options: MultiplyOptions,
+    obs: Observation | None,
+    execution: str = "sequential",
     workers: int = 1,
-    execution: str | None = None,
-    heartbeat_interval: float = 0.25,
-    pair_deadline_seconds: float | None = None,
     check_fingerprints: bool = True,
-    checkpoint: CheckpointStore | None = None,
-    checkpoint_flush_pairs: int = 1,
-    cancel: CancelToken | None = None,
-    startup_grace_seconds: float = 10.0,
 ) -> tuple[ATMatrix, MultiplyReport | ParallelReport]:
     """Execute a plan against operands of matching topology.
 
-    ``execution`` selects the backend (:data:`EXECUTION_MODES`); the
-    legacy ``parallel=True`` keyword keeps meaning ``"threads"``.
-    Sequential mode returns a :class:`MultiplyReport` (with task
-    records); the thread backend dispatches pairs to a ``workers``-sized
-    thread pool (one per simulated socket) and returns a
-    :class:`ParallelReport`; the process backend hands the whole run to
-    :func:`repro.resilience.supervisor.run_supervised` — worker
-    processes with ``heartbeat_interval``-spaced liveness reporting and
-    an optional per-pair dispatch deadline.  ``at_c`` seeding is
-    sequential-only, as before the redesign.
+    ``execution`` selects the backend (:data:`EXECUTION_MODES`); every
+    other setting — config, cost model, resilience, checkpoint, cancel
+    token and the process backend's heartbeat, deadline and startup
+    grace — comes from ``options``.  Sequential mode returns a
+    :class:`MultiplyReport` (with task records); the thread backend
+    dispatches pairs to a ``workers``-sized thread pool (one per
+    simulated socket) and returns a :class:`ParallelReport`; the process
+    backend hands the whole run to
+    :func:`repro.resilience.supervisor.run_supervised`.  ``at_c``
+    seeding is sequential-only.
 
-    With a ``checkpoint`` store, pairs already present in its journal
+    With ``options.checkpoint``, pairs already present in its journal
     are restored instead of re-executed (counted as
     ``failure.pairs_resumed``), and every completed pair is journaled —
-    durably flushed after each ``checkpoint_flush_pairs`` completions —
-    so a killed process resumes from the last flush.  A
+    durably flushed after each ``options.checkpoint_flush_pairs``
+    completions — so a killed process resumes from the last flush.  A
     :class:`KeyboardInterrupt` in any backend flushes the buffered
     records before propagating, so Ctrl-C costs nothing that was
     already computed.
 
-    A ``cancel`` token is polled at tile-pair boundaries in every
+    ``options.cancel`` is polled at tile-pair boundaries in every
     backend; when it trips, the run flushes the checkpoint exactly like
     Ctrl-C and unwinds with
     :class:`~repro.errors.OperationCancelledError` (or its
     :class:`~repro.errors.DeadlineExceededError` specialization), so a
     cancelled or deadline-expired multiplication is resumable.
-    ``startup_grace_seconds`` only affects ``execution="processes"``:
-    it bounds how long a fresh worker may take to post its first
-    heartbeat.
     """
-    mode = execution if execution is not None else (
-        "threads" if parallel else "sequential"
-    )
-    if mode not in EXECUTION_MODES:
+    if execution not in EXECUTION_MODES:
         raise ConfigError(
-            f"unknown execution mode {mode!r}; expected one of {EXECUTION_MODES}"
+            f"unknown execution mode {execution!r}; expected one of "
+            f"{EXECUTION_MODES}"
         )
-    if mode != "sequential" and at_c is not None:
+    if execution != "sequential" and at_c is not None:
         raise PlanMismatchError("C seeding is not supported in parallel execution")
     if check_fingerprints:
         check_plan_applies(plan, at_a, at_b)
-    if mode == "processes":
+    if execution == "processes":
         # Imported lazily: the supervisor reaches back into this module
         # (through engine.shard) for the worker-side PairComputer.
         from ..resilience.supervisor import run_supervised
 
         return run_supervised(
-            plan,
-            at_a,
-            at_b,
-            config=config,
-            cost_model=cost_model,
-            resilience=resilience,
-            obs=obs,
-            workers=workers,
-            heartbeat_interval=heartbeat_interval,
-            pair_deadline_seconds=pair_deadline_seconds,
-            checkpoint=checkpoint,
-            checkpoint_flush_pairs=checkpoint_flush_pairs,
-            cancel=cancel,
-            startup_grace_seconds=startup_grace_seconds,
+            plan, at_a, at_b, options=options, obs=obs, workers=workers
         )
 
-    parallel = mode == "threads"
+    parallel = execution == "threads"
+    config = options.resolved_config()
+    checkpoint = options.checkpoint
+    cancel = options.cancel
     completed: dict[tuple[int, int], Tile | None] = (
         checkpoint.begin(plan) if checkpoint is not None else {}
     )
@@ -566,10 +542,10 @@ def execute_plan(
         plan,
         at_a,
         at_b,
-        cost_model=cost_model,
+        cost_model=options.resolved_cost_model(),
         at_c=at_c,
         obs=obs,
-        resilience=resilience,
+        resilience=options.resilience,
         record_tasks=not parallel,
         busy_hook=thread_busy_hook if parallel else None,
         cancel=cancel,
@@ -589,7 +565,7 @@ def execute_plan(
     def journal_pair(pair: PlannedPair, tile: Tile | None) -> None:
         assert checkpoint is not None
         checkpoint.record((pair.ti, pair.tj), tile)
-        if checkpoint.pending() >= checkpoint_flush_pairs:
+        if checkpoint.pending() >= options.checkpoint_flush_pairs:
             checkpoint.flush()
 
     def flush_on_interrupt() -> None:
@@ -657,12 +633,6 @@ def execute_plan(
             report.checkpoint_flushes = checkpoint.flushes
         if cancel is not None and cancel.cancelled:
             cancel.check()
-        if report.failure.pair_errors:
-            raise TaskFailedError(
-                aggregate_message(report.failure.pair_errors, len(plan.pairs)),
-                pair_errors=report.failure.pair_errors,
-                report=report,
-            )
     else:
         assert isinstance(report, MultiplyReport)
         try:
@@ -690,18 +660,44 @@ def execute_plan(
             checkpoint.flush()
             report.checkpoint_flushes = checkpoint.flushes
 
-    result = ATMatrix(plan.shape[0], plan.shape[1], config, result_tiles)
+    return finish_run(plan, result_tiles, report, config=config, obs=obs), report
 
+
+def finish_run(
+    plan: ExecutionPlan,
+    result_tiles: list[Tile],
+    report: MultiplyReport | ParallelReport,
+    *,
+    config: SystemConfig,
+    obs: Observation | None,
+) -> ATMatrix:
+    """The post-run step every backend shares.
+
+    Raises one aggregated :class:`~repro.errors.TaskFailedError`
+    (carrying ``pair_errors`` and the partially populated report) when
+    any pair failed; otherwise assembles the result and, under a memory
+    limit, demotes dense tiles until it fits
+    (:func:`~repro.core.atmult.enforce_memory_limit` — the water level
+    acts on *estimated* densities, so the materialized result can
+    overshoot by the estimation error).
+    """
+    pair_errors = report.failure.pair_errors
+    if pair_errors:
+        raise TaskFailedError(
+            aggregate_message(pair_errors, len(plan.pairs)),
+            pair_errors=pair_errors,
+            report=report,
+        )
+    result = ATMatrix(plan.shape[0], plan.shape[1], config, result_tiles)
     limit = plan.memory_limit_bytes
-    enforce = limit is not None and (parallel or not np.isinf(limit))
-    if enforce:
+    if limit is not None:
         from ..core.atmult import enforce_memory_limit
 
         start = time.perf_counter()
         with _span(obs, "memory_limit_enforce"):
             enforce_memory_limit(result, limit)
-        report.add_phase("optimize", time.perf_counter() - start)
-    return result, report
+        report.add_phase(PHASE_OPTIMIZE, time.perf_counter() - start)
+    return result
 
 
 @dataclass

@@ -28,12 +28,13 @@ and invalidated together with the other derived state, so repeated plans
 against the same operand cost one digest, not one per call.
 
 The second half of the key is :func:`config_fingerprint`: every input of
-the planning pipeline that is *not* operand topology — the
+the planning pipeline that is *not* operand topology, read from one
+:class:`~repro.engine.options.MultiplyOptions` — the
 :class:`~repro.config.SystemConfig`, the cost model's coefficients and
-thresholds, the memory limit, the ablation flags and the kernel revision
-(:data:`~repro.kernels.registry.KERNEL_REVISION`, so plans and checkpoint
-journals never mix results of different kernel arithmetic).  Two calls
-agree on a cached plan only when both halves match.
+thresholds, the memory limit, the ablation flags — plus the kernel
+revision (:data:`~repro.kernels.registry.KERNEL_REVISION`, so plans and
+checkpoint journals never mix results of different kernel arithmetic).
+Two calls agree on a cached plan only when both halves match.
 """
 
 from __future__ import annotations
@@ -41,12 +42,15 @@ from __future__ import annotations
 import hashlib
 import struct
 
-from ..config import SystemConfig
-from ..cost.model import CostModel
+from typing import TYPE_CHECKING
+
 from ..core.atmatrix import ATMatrix
 from ..formats.csr import CSRMatrix
 from ..formats.dense import DenseMatrix
 from ..kernels.registry import KERNEL_REVISION
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .options import MultiplyOptions
 
 
 def _digest(*chunks: bytes) -> str:
@@ -126,15 +130,17 @@ def chain_fingerprint(
     return _digest(*chunks)
 
 
-def config_fingerprint(
-    config: SystemConfig,
-    cost_model: CostModel,
-    *,
-    memory_limit_bytes: float | None,
-    dynamic_conversion: bool,
-    use_estimation: bool,
-) -> str:
-    """Hash of every non-operand input of the planning pipeline."""
+def config_fingerprint(options: MultiplyOptions) -> str:
+    """Hash of every non-operand input of the planning pipeline.
+
+    Reads exactly the five planning fields of ``options`` — the (resolved)
+    system config and cost model, the memory limit and the two ablation
+    flags — plus the kernel revision.  Every cache key and every plan's
+    ``setup_key`` comes from here, so a field added to planning is added
+    to all of them at once.
+    """
+    config = options.resolved_config()
+    cost_model = options.resolved_cost_model()
     parts = [
         f"llc={config.llc_bytes}",
         f"alpha={config.alpha}",
@@ -144,9 +150,9 @@ def config_fingerprint(
         f"ssp={config.sparse_element_bytes}",
         f"rt={cost_model.read_threshold!r}",
         f"wt={cost_model.write_threshold!r}",
-        f"mem={memory_limit_bytes!r}",
-        f"conv={dynamic_conversion}",
-        f"est={use_estimation}",
+        f"mem={options.memory_limit_bytes!r}",
+        f"conv={options.dynamic_conversion}",
+        f"est={options.use_estimation}",
         f"kernels={KERNEL_REVISION}",
     ]
     coefficients = cost_model.coefficients

@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..config import SystemConfig
 from ..cost.model import CostModel
 from ..core.atmatrix import ATMatrix
 from ..core.operands import operand_density_map
@@ -181,7 +180,7 @@ class ExecutionPlan:
 
 
 class _DecisionMemo:
-    """Quantized kernel-decision memo (mirrors the legacy optimizer)."""
+    """Quantized memo of the cost model's per-product kernel decisions."""
 
     def __init__(self, cost_model: CostModel, enabled: bool) -> None:
         self.cost_model = cost_model
@@ -223,22 +222,23 @@ def build_plan(
     at_a: ATMatrix,
     at_b: ATMatrix,
     *,
-    config: SystemConfig,
-    cost_model: CostModel,
-    memory_limit_bytes: float | None = None,
-    dynamic_conversion: bool = True,
-    use_estimation: bool = True,
+    options: MultiplyOptions,
     obs: Observation | None = None,
 ) -> ExecutionPlan:
     """Resolve every decision of one ATMULT invocation into a plan.
 
     Runs the paper's phases 1-2 (density estimation, water-level write
-    threshold) and the per-product dynamic-optimizer decisions of phase
-    3, but dispatches no kernel.  Span and metric emission matches the
-    legacy monolith (``estimate``, ``water_level``, one ``optimize``
-    span per product), so a traced uncached multiply looks identical to
-    the pre-engine trace.
+    threshold) and the per-product kernel decisions of phase 3, but
+    dispatches no kernel.  Reads only the planning fields of
+    ``options`` — the ones :func:`config_fingerprint` digests into the
+    plan's ``setup_key``.  Emits an ``estimate`` and a ``water_level``
+    span plus one ``optimize`` span per product.
     """
+    config = options.resolved_config()
+    cost_model = options.resolved_cost_model()
+    memory_limit_bytes = options.memory_limit_bytes
+    dynamic_conversion = options.dynamic_conversion
+    use_estimation = options.use_estimation
     # -- phase 1: density estimation (Alg. 2 line 2) ----------------------
     estimate: DensityMap | None = None
     estimate_seconds = 0.0
@@ -361,13 +361,7 @@ def build_plan(
     return ExecutionPlan(
         a_fingerprint=structure_fingerprint(at_a),
         b_fingerprint=structure_fingerprint(at_b),
-        setup_key=config_fingerprint(
-            config,
-            cost_model,
-            memory_limit_bytes=memory_limit_bytes,
-            dynamic_conversion=dynamic_conversion,
-            use_estimation=use_estimation,
-        ),
+        setup_key=config_fingerprint(options),
         shape=(at_a.rows, at_b.cols),
         row_cuts=row_cuts,
         col_cuts=col_cuts,
@@ -440,8 +434,8 @@ class FusedChainPlan:
 
     Cached in a :class:`~repro.engine.cache.PlanCache` under a
     :class:`~repro.engine.cache.ChainKey` (every leaf fingerprint plus
-    the setup key), so repeated chain runs — and every iteration of a
-    solver loop — replay the whole chain from one cache hit.
+    the setup key), so a repeated chain run replays the whole chain from
+    one cache hit.
     """
 
     operand_fingerprints: tuple[str, ...]
@@ -593,7 +587,7 @@ def build_chain_plan(
     the *materialized* topology of its intermediate operands, this runs
     the chain's kernels once (a cold run); the point of the returned
     object is replay — through ``options.plan_cache`` every later run of
-    the same chain (and every solver iteration) is a single cache hit.
+    the same chain is a single cache hit.
     """
     from .api import run_chain
 

@@ -207,7 +207,9 @@ class Session:
         """``A @ x`` through the engine, so repeated products reuse one plan.
 
         The vector rides as a dense ``n x 1`` operand; dense topology is
-        shape-only, so every same-length vector hits the same plan.
+        shape plus quantized density, so every fully populated
+        same-length vector hits the same plan.  The solvers make this
+        same call for each of their products.
         """
         at = as_at_matrix(matrix, self.config)
         column = np.asarray(vector, dtype=np.float64).reshape(-1, 1)

@@ -85,13 +85,22 @@ class TaskSource(Protocol):
 
 @dataclass(frozen=True)
 class ShardConfig:
-    """The per-run contract shipped (pickled) to every worker process."""
+    """The per-run contract shipped (pickled) to every worker process.
+
+    Filled by the supervisor from the run's
+    :class:`~repro.engine.options.MultiplyOptions`, which holds every
+    default.
+    """
 
     config: SystemConfig
     cost_model: CostModel
     resilience: RetryPolicy | None
     #: seconds between heartbeat-file updates
     heartbeat_interval: float
+    #: how long a freshly spawned worker may take to post its first
+    #: heartbeat before the supervisor declares it stale (spawn
+    #: platforms re-import the world before ``worker_main`` runs)
+    startup_grace: float
     #: directory the checkpoint journal lives in (shared with the
     #: supervisor; workers :meth:`~CheckpointStore.attach`, never begin)
     journal_dir: str
@@ -101,10 +110,6 @@ class ShardConfig:
     #: the B operand is the same object as A (self-product): ship one
     #: archive and alias it in the worker
     b_is_a: bool = False
-    #: how long a freshly spawned worker may take to post its first
-    #: heartbeat before the supervisor declares it stale (spawn
-    #: platforms re-import the world before ``worker_main`` runs)
-    startup_grace: float = 10.0
 
 
 def assign_shards(

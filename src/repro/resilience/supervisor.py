@@ -54,16 +54,14 @@ from ..core.tile import Tile
 from ..errors import OperationCancelledError, TaskFailedError
 from ..observe import Observation
 from ..observe import session as observe_session
-from ..resilience.report import PairOutcome, WorkerRecord, aggregate_message
+from ..resilience.report import PairOutcome, WorkerRecord
 from .cancel import CancelToken
 from .checkpoint import CheckpointStore
 from .faults import active_plan
-from .retry import RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..config import SystemConfig
     from ..core.atmatrix import ATMatrix
-    from ..cost.model import CostModel
+    from ..engine.options import MultiplyOptions
     from ..engine.plan import ExecutionPlan
     from ..engine.shard import PairCoords
 
@@ -73,13 +71,6 @@ _span = observe_session.tracer_span
 
 #: Heartbeats may be late by this factor before a worker counts as hung.
 _HEARTBEAT_GRACE = 5.0
-
-#: Default allowance (seconds) for a worker that has not heartbeat
-#: *yet*: spawn platforms re-import the world before ``worker_main``
-#: runs, and the staleness window alone would bury a slow-starting
-#: worker unborn.  Configurable per run via
-#: ``MultiplyOptions.startup_grace_seconds`` / ``--startup-grace``.
-_STARTUP_GRACE = 10.0
 
 #: A pair that killed its worker this many times is quarantined.
 _QUARANTINE_KILLS = 2
@@ -129,43 +120,37 @@ def run_supervised(
     at_a: ATMatrix,
     at_b: ATMatrix,
     *,
-    config: SystemConfig,
-    cost_model: CostModel,
-    resilience: RetryPolicy | None = None,
-    obs: Observation | None = None,
-    workers: int = 2,
-    heartbeat_interval: float = 0.25,
-    pair_deadline_seconds: float | None = None,
-    checkpoint: CheckpointStore | None = None,
-    checkpoint_flush_pairs: int = 1,
-    cancel: CancelToken | None = None,
-    startup_grace_seconds: float = _STARTUP_GRACE,
+    options: MultiplyOptions,
+    obs: Observation | None,
+    workers: int,
 ) -> tuple[ATMatrix, ParallelReport]:
     """Execute ``plan`` on supervised worker processes.
 
     Returns the same ``(ATMatrix, ParallelReport)`` shape as the thread
     backend; ``report.failure`` additionally carries ``worker_deaths``,
     ``pairs_reassigned``, ``pairs_quarantined`` and per-worker
-    :class:`~repro.resilience.report.WorkerRecord` entries.
+    :class:`~repro.resilience.report.WorkerRecord` entries.  The
+    heartbeat cadence, per-pair dispatch deadline and startup grace come
+    from ``options``, like the config, cost model, retry policy,
+    checkpoint and cancel token.
 
-    ``checkpoint_flush_pairs`` is accepted for interface parity but the
-    journal is flushed after *every* pair here: the journal doubles as
-    the worker → supervisor result channel, so durability per pair is
-    what makes a worker death lose nothing.
+    The journal is flushed after *every* pair here, whatever
+    ``options.checkpoint_flush_pairs`` says: the journal doubles as the
+    worker → supervisor result channel, so durability per pair is what
+    makes a worker death lose nothing.
 
-    A tripped ``cancel`` token is observed at the dispatch loop's poll
-    cadence: workers are killed, the journal is flushed (already
-    per-pair durable) and the run unwinds with
+    A tripped ``options.cancel`` token is observed at the dispatch
+    loop's poll cadence: workers are killed, the journal is flushed
+    (already per-pair durable) and the run unwinds with
     :class:`~repro.errors.OperationCancelledError`, leaving every
-    adopted pair resumable.  ``startup_grace_seconds`` bounds how long
-    a fresh worker may take to post its first heartbeat.
+    adopted pair resumable.
     """
-    del checkpoint_flush_pairs  # journal-as-IPC forces per-pair flushes
     # Imported here, not at module top: engine.shard pulls in the
     # executor, which lazily imports this module for mode dispatch.
-    from ..core.atmatrix import ATMatrix as _ATMatrix
     from ..engine import shard
+    from ..engine.executor import finish_run
 
+    config = options.resolved_config()
     worker_count = max(1, int(workers))
     report = ParallelReport(workers=worker_count, observation=obs)
     failure = report.failure
@@ -175,9 +160,9 @@ def run_supervised(
 
     with tempfile.TemporaryDirectory(prefix="repro-shard-") as tmp:
         run_dir = Path(tmp)
-        store = checkpoint if checkpoint is not None else CheckpointStore(
-            run_dir / "journal"
-        )
+        store = options.checkpoint
+        if store is None:
+            store = CheckpointStore(run_dir / "journal")
         completed: dict[PairCoords, Tile | None] = store.begin(plan)
         for coords in completed:
             failure.pairs_resumed += 1
@@ -188,13 +173,13 @@ def run_supervised(
         parent_plan = active_plan()
         shard_config = shard.ShardConfig(
             config=config,
-            cost_model=cost_model,
-            resilience=resilience,
-            heartbeat_interval=heartbeat_interval,
+            cost_model=options.resolved_cost_model(),
+            resilience=options.resilience,
+            heartbeat_interval=options.heartbeat_interval_seconds,
             journal_dir=str(store.directory),
             fault_spec=parent_plan.spec() if parent_plan is not None else None,
             b_is_a=at_b is at_a,
-            startup_grace=startup_grace_seconds,
+            startup_grace=options.startup_grace_seconds,
         )
 
         start = time.perf_counter()
@@ -204,7 +189,7 @@ def run_supervised(
             shard.prepare_run_dir(run_dir, plan, at_a, at_b, shard_config)
             done_pairs, quarantined = _supervise(
                 plan, pending, run_dir, store, shard_config, report, obs,
-                worker_count, pair_deadline_seconds, cancel,
+                worker_count, options.pair_deadline_seconds, options.cancel,
             )
         report.phase_seconds[PHASE_MULTIPLY] = time.perf_counter() - start
 
@@ -220,22 +205,7 @@ def run_supervised(
             if tile is not None:
                 result_tiles.append(tile)
 
-    result = _ATMatrix(plan.shape[0], plan.shape[1], config, result_tiles)
-    limit = plan.memory_limit_bytes
-    if limit is not None:
-        from ..core.atmult import enforce_memory_limit
-
-        enforce_start = time.perf_counter()
-        with _span(obs, "memory_limit_enforce"):
-            enforce_memory_limit(result, limit)
-        report.add_phase("optimize", time.perf_counter() - enforce_start)
-    if failure.pair_errors:
-        raise TaskFailedError(
-            aggregate_message(failure.pair_errors, len(plan.pairs)),
-            pair_errors=failure.pair_errors,
-            report=report,
-        )
-    return result, report
+    return finish_run(plan, result_tiles, report, config=config, obs=obs), report
 
 
 def _make_context() -> Any:

@@ -12,13 +12,12 @@ Two execution paths:
 * plain (default): matrix-vector products run through the light
   :func:`~repro.core.atmv.atmv` tile loop;
 * engine (``options=``, which :meth:`repro.Session.solve` passes):
-  products run ``A @ x`` through the engine with the caller's
-  :class:`~repro.engine.options.MultiplyOptions`.  With a plan cache
-  attached (a :class:`~repro.Session` always has one), the loop *pins*
-  one fused matvec plan for the entire iteration: the first iteration
-  records a :class:`~repro.engine.plan.FusedChainPlan`, the second
-  retrieves it from the cache — one hit, after which the pinned plan
-  replays directly without touching the cache or re-planning at all.
+  every product is ``atmult(A, x, options=options)`` with the vector as
+  a dense ``n x 1`` operand.  With a plan cache attached (a
+  :class:`~repro.Session` always has one), the first product builds the
+  single ``A @ x`` plan and every later one is a cache hit that replays
+  it: dense topology is shape plus quantized density, so a solve's
+  fully populated iterates all share one plan key.
 
 Provided methods:
 
@@ -38,16 +37,15 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import DEFAULT_CONFIG
+from .core.atmult import atmult
 from .core.atmv import atmv
 from .core.operands import MatrixOperand, as_at_matrix
-from .engine.api import chain_fusable, run_chain
 from .engine.options import MultiplyOptions
-from .errors import PlanMismatchError, ReproError, ShapeError
+from .errors import ReproError, ShapeError
 from .formats.dense import DenseMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core.atmatrix import ATMatrix
-    from .engine.plan import FusedChainPlan
 
 
 class ConvergenceError(ReproError, RuntimeError):
@@ -81,59 +79,6 @@ def _check_system(matrix: MatrixOperand, rhs: np.ndarray) -> np.ndarray:
     return rhs
 
 
-class _PinnedMatvec:
-    """One fused matvec plan pinned across a whole solver loop.
-
-    Each call multiplies ``A @ x`` with the vector riding as a dense
-    ``n x 1`` operand — dense topology is fingerprinted by shape plus
-    quantized density, and a solve's iterates are fully populated, so
-    every iteration shares one chain identity.  The first call records
-    the :class:`~repro.engine.plan.FusedChainPlan` (a cache miss + put),
-    the second retrieves it (the loop's single cache hit) and pins it;
-    every later call replays the pinned plan directly — no cache probe,
-    no re-planning.  A :class:`~repro.errors.PlanMismatchError` (e.g. a
-    degenerate iterate changing the intermediate topology) unpins and
-    falls back to the cache-mediated path for that call.
-    """
-
-    def __init__(self, at: ATMatrix, options: MultiplyOptions) -> None:
-        self._at = at
-        self._options = options
-        self._config = options.resolved_config()
-        self._model = options.resolved_cost_model()
-        self._pinned: FusedChainPlan | None = None
-        self.pinned_replays = 0
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        from .engine.executor import execute_fused_chain
-        from .observe import session as observe_session
-
-        column = np.asarray(x, dtype=np.float64).reshape(-1, 1)
-        dense = DenseMatrix(column, copy=False)
-        with observe_session.resolve(self._options.observer) as obs:
-            if self._pinned is not None:
-                at_x = as_at_matrix(dense, self._config)
-                try:
-                    result, _ = execute_fused_chain(
-                        self._pinned,
-                        [self._at, at_x],
-                        config=self._config,
-                        cost_model=self._model,
-                        obs=obs,
-                    )
-                except PlanMismatchError:
-                    self._pinned = None
-                else:
-                    self.pinned_replays += 1
-                    return result.to_dense().ravel()
-            result, report, fused = run_chain(
-                [self._at, dense], options=self._options, obs=obs
-            )
-            if report.plan_cache_hit:
-                self._pinned = fused
-        return result.to_dense().ravel()
-
-
 def _matvec_driver(
     matrix: MatrixOperand, options: MultiplyOptions | None
 ) -> tuple["ATMatrix", Callable[[np.ndarray], np.ndarray]]:
@@ -142,19 +87,16 @@ def _matvec_driver(
     The operand is wrapped with :func:`as_at_matrix` exactly once, here,
     before any iteration runs (the regression tests count
     ``operand.wraps.*`` metric increments to pin this down).  Without
-    options the product is the plain :func:`atmv` tile loop.  When the
-    options allow fused replay (:func:`~repro.engine.api.chain_fusable`)
-    the loop gets a :class:`_PinnedMatvec`; otherwise each product runs
-    through plain :func:`~repro.core.atmult.atmult`.
+    options the product is the plain :func:`atmv` tile loop; with
+    options every product is :func:`~repro.core.atmult.atmult` of the
+    wrapped matrix and the iterate as a dense ``n x 1`` column — the
+    same call :meth:`repro.Session.matvec` makes.
     """
     if options is None:
         at = as_at_matrix(matrix, DEFAULT_CONFIG)
         return at, lambda x: atmv(at, x)
 
     at = as_at_matrix(matrix, options.resolved_config())
-    if chain_fusable(options):
-        return at, _PinnedMatvec(at, options)
-    from .core.atmult import atmult
 
     def matvec(x: np.ndarray) -> np.ndarray:
         column = np.asarray(x, dtype=np.float64).reshape(-1, 1)

@@ -12,9 +12,12 @@ from repro import (
     PlanCache,
     atmult,
     build_at_matrix,
+    build_chain_plan,
     observe,
 )
-from repro.engine.cache import PlanKey
+from repro import plan as plan_api
+from repro.engine import build_plan
+from repro.engine.cache import ChainKey, PlanKey
 from repro.engine.fingerprint import structure_fingerprint
 
 from ..conftest import as_csr, random_sparse_array
@@ -193,3 +196,56 @@ class TestPlanKey:
         assert key == PlanKey("a", "b", "setup")
         assert hash(key) == hash(PlanKey("a", "b", "setup"))
         assert key != PlanKey("a", "b", "other")
+
+
+class _RecordingCache(PlanCache):
+    """A plan cache that remembers every key it was probed with."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.probed: list[PlanKey | ChainKey] = []
+
+    def get(self, key):
+        self.probed.append(key)
+        return super().get(key)
+
+
+class TestSetupKeyAgreement:
+    """``build_plan``, ``resolve_plan`` and ``run_chain`` share one setup key."""
+
+    @staticmethod
+    def setup_keys(matrix, options: MultiplyOptions) -> tuple[str, str, str]:
+        built = build_plan(matrix, matrix, options=options).setup_key
+
+        cache = _RecordingCache()
+        plan_api(matrix, matrix, options=options.replace(plan_cache=cache))
+        (plan_key,) = cache.probed
+        assert isinstance(plan_key, PlanKey)
+
+        cache = _RecordingCache()
+        fused = build_chain_plan(
+            [matrix, matrix], options=options.replace(plan_cache=cache)
+        )
+        chain_keys = [key for key in cache.probed if isinstance(key, ChainKey)]
+        # A memory limit makes a chain unfusable: it never probes its
+        # ChainKey, but the fused plan still records the key's setup half.
+        assert len(chain_keys) == (0 if options.memory_limit_bytes else 1)
+        for chain_key in chain_keys:
+            assert chain_key.setup_key == fused.setup_key
+        return built, plan_key.setup_key, fused.setup_key
+
+    def test_three_keys_agree_and_move_together(self, rng, small_config):
+        array = random_sparse_array(rng, 48, 48, 0.15)
+        matrix = build_at_matrix(COOMatrix.from_dense(array), small_config)
+        base = MultiplyOptions(config=small_config)
+        variants = [
+            base,
+            base.replace(memory_limit_bytes=1e6),
+            base.replace(dynamic_conversion=False),
+            base.replace(use_estimation=False),
+        ]
+        keys = [self.setup_keys(matrix, options) for options in variants]
+        for built, resolved, chained in keys:
+            assert built == resolved == chained
+        # each planning field changes all three keys at once
+        assert len({built for built, _, _ in keys}) == len(variants)

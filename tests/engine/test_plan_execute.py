@@ -14,7 +14,11 @@ from repro import (
     execute,
     plan,
 )
+from repro.core.tile import Tile
+from repro.engine.executor import _ConversionCache
 from repro.formats import coo_to_csr
+from repro.formats.dense import DenseMatrix
+from repro.kinds import StorageKind
 
 from ..conftest import as_csr, as_dense, heterogeneous_array, random_sparse_array
 
@@ -135,3 +139,20 @@ class TestAblationFlagsInPlan:
         assert execution_plan.use_estimation is False
         assert execution_plan.estimate is None
         assert np.isinf(execution_plan.write_threshold)
+
+
+class TestConversionCache:
+    def test_tile_converted_once_payload_reused(self):
+        array = np.random.default_rng(0).uniform(0.5, 1.0, (32, 32))
+        csr = coo_to_csr(COOMatrix.from_dense(array))
+        tile = Tile(0, 0, 32, 32, StorageKind.SPARSE, csr)
+        conversions = _ConversionCache()
+        # the tile's own kind needs no conversion
+        assert conversions.payload(tile, StorageKind.SPARSE) is tile.data
+        assert conversions.conversions == 0
+        first = conversions.payload(tile, StorageKind.DENSE)
+        second = conversions.payload(tile, StorageKind.DENSE)
+        assert isinstance(first, DenseMatrix)
+        np.testing.assert_array_equal(first.to_dense(), array)
+        assert second is first
+        assert conversions.conversions == 1

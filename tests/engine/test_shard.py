@@ -14,7 +14,7 @@ import pytest
 
 from repro import COOMatrix, SystemConfig, build_at_matrix
 from repro.cost.model import CostModel
-from repro.engine import build_plan
+from repro.engine import MultiplyOptions, build_plan
 from repro.engine.shard import (
     ShardConfig,
     assign_shards,
@@ -42,7 +42,7 @@ def build(array):
 @pytest.fixture
 def planned(rng):
     at = build(heterogeneous_array(rng, 64, 64))
-    plan = build_plan(at, at, config=CONFIG, cost_model=CostModel())
+    plan = build_plan(at, at, options=MultiplyOptions(config=CONFIG))
     return at, plan
 
 
@@ -83,6 +83,7 @@ class TestRunDirRoundTrip:
             cost_model=CostModel(),
             resilience=None,
             heartbeat_interval=0.25,
+            startup_grace=10.0,
             journal_dir=str(tmp_path / "journal"),
             b_is_a=True,
         )
@@ -101,7 +102,7 @@ class TestRunDirRoundTrip:
     def test_distinct_operands_ship_two_archives(self, tmp_path, rng):
         at_a = build(heterogeneous_array(rng, 64, 48))
         at_b = build(heterogeneous_array(rng, 48, 64))
-        plan = build_plan(at_a, at_b, config=CONFIG, cost_model=CostModel())
+        plan = build_plan(at_a, at_b, options=MultiplyOptions(config=CONFIG))
         prepare_run_dir(
             tmp_path, plan, at_a, at_b, self.shard_config(tmp_path, b_is_a=False)
         )
@@ -172,6 +173,7 @@ class TestWorkerMainInProcess:
             cost_model=CostModel(),
             resilience=None,
             heartbeat_interval=0.05,
+            startup_grace=10.0,
             journal_dir=str(journal),
             b_is_a=True,
             **config_overrides,
