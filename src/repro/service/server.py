@@ -177,6 +177,8 @@ class MatrixService:
         #: completion events of jobs someone waits on, set and dropped
         #: when the job reaches a terminal state
         self._settled: dict[str, asyncio.Event] = {}
+        #: record saves still in flight; stop() waits for them
+        self._persisting: set[asyncio.Future[None]] = set()
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> int:
@@ -216,6 +218,8 @@ class MatrixService:
             except asyncio.CancelledError:
                 pass
         self._tasks.clear()
+        if self._persisting:
+            await asyncio.gather(*self._persisting)
         self._started = False
 
     async def drain(self, *, timeout: float = 30.0) -> None:
@@ -630,13 +634,7 @@ class MatrixService:
                     self.admission.release(record.reserved_bytes)
                     if record.state.terminal:
                         record.finished_at = time.time()
-                    # wait() observes the in-memory terminal state, so the
-                    # service may be stopped (and this task cancelled) while
-                    # the persist below is in flight — shield it so the
-                    # on-disk record cannot be left behind at RUNNING.
-                    await asyncio.shield(
-                        loop.run_in_executor(None, self.store.save, record)
-                    )
+                    await self._persist(record)
                     self._notify_settled(record)
                     elapsed = time.monotonic() - started
                     self.observer.metrics.histogram(
@@ -655,12 +653,23 @@ class MatrixService:
         record.error_type = DeadlineExceededError.__name__
         record.finished_at = time.time()
         self.observer.metrics.counter("service.jobs_deadline_exceeded").inc()
-        loop = asyncio.get_running_loop()
-        await asyncio.shield(
-            loop.run_in_executor(None, self.store.save, record)
-        )
+        await self._persist(record)
         self._notify_settled(record)
         self._gauge_queue_depth()
+
+    async def _persist(self, record: JobRecord) -> None:
+        """Save a settled record, surviving the worker's cancellation.
+
+        wait() and drain() observe the in-memory state, so the service
+        may be stopped (and the worker cancelled) while this save is in
+        flight.  The save is shielded and tracked, and :meth:`stop`
+        waits for it, so the on-disk record cannot be left at RUNNING.
+        """
+        loop = asyncio.get_running_loop()
+        save = loop.run_in_executor(None, self.store.save, record)
+        self._persisting.add(save)
+        save.add_done_callback(self._persisting.discard)
+        await asyncio.shield(save)
 
     def _notify_settled(self, record: JobRecord) -> None:
         """Wake every :meth:`wait` parked on a job that just settled."""
