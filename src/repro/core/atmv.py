@@ -7,6 +7,14 @@ vector operand has no representation choice, there is no optimizer pass;
 the win comes purely from the heterogeneous tile storage — dense regions
 hit the dense gemv path.
 
+The CSR row kernel sums each row with
+:func:`~repro.kernels.spmv.row_sum`, the primitive the engine's ``n x 1``
+products use as well, so :func:`atmv` returns the same bits as
+:meth:`repro.Session.matvec` whenever the engine's plan adds the tiles'
+contributions to each row in this tile order (one ``x`` tile, or ``x``
+tiles cut on ``A``'s column boundaries — the case for the suite
+classes).
+
 Also provides :func:`power_iteration`, the iterative-workload driver the
 examples and benches use (dominant eigenvector, PageRank-style loops).
 """

@@ -85,6 +85,9 @@ class CostModel:
         The paper's ``rho0_W`` — density at which an *output* tile should
         be dense; "usually a much lower value" due to the read/write
         asymmetry.
+
+    All three are read-only after construction; build a new model to
+    change them.
     """
 
     def __init__(
@@ -100,9 +103,23 @@ class CostModel:
             raise ConfigError(
                 f"write_threshold must be in (0, 1], got {write_threshold}"
             )
-        self.coefficients = coefficients
-        self.read_threshold = read_threshold
-        self.write_threshold = write_threshold
+        self._coefficients = coefficients
+        self._read_threshold = read_threshold
+        self._write_threshold = write_threshold
+
+    # Read-only: a model's coefficients and thresholds enter the setup
+    # key, which is memoized on the options that hold the model.
+    @property
+    def coefficients(self) -> CostCoefficients:
+        return self._coefficients
+
+    @property
+    def read_threshold(self) -> float:
+        return self._read_threshold
+
+    @property
+    def write_threshold(self) -> float:
+        return self._write_threshold
 
     # -- kernel costs -----------------------------------------------------
     def product_cost(

@@ -35,6 +35,7 @@ from .plan import (
     build_plan,
     fused_chain_schedule,
 )
+from .replay import lower_matvec
 from .fingerprint import (
     config_fingerprint,
     payload_fingerprint,
@@ -56,7 +57,10 @@ def resolve_plan(
 
     Returns ``(plan, fresh)`` — ``fresh`` is True when the plan was
     built by this call (its planning-phase durations then belong in the
-    caller's report).
+    caller's report).  A plan entering the cache carries its compiled
+    ``n x 1`` replay when it qualifies
+    (:func:`~repro.engine.replay.lower_matvec`), attached before the
+    put so the cache charges its bytes.
     """
     cache = options.plan_cache
     key = None
@@ -71,6 +75,9 @@ def resolve_plan(
             return cached, False
     built = build_plan(at_a, at_b, options=options, obs=obs)
     if cache is not None and key is not None:
+        built.program = lower_matvec(
+            built, at_a, at_b, options.resolved_cost_model()
+        )
         cache.put(key, built)
     return built, True
 

@@ -28,7 +28,9 @@ dispatch, and the resilience wrapper —
 given: bounded retries, result validation with reference fallback and
 memory-pressure degradation.  The post-run step they share is
 :func:`finish_run`: the aggregated pair-failure report and the
-memory-limit repair.
+memory-limit repair.  A cached ``n x 1`` plan may instead run as its
+compiled program (:mod:`repro.engine.replay`) on plain sequential runs;
+the result goes through the same :func:`finish_run`.
 
 Replaying against operands whose structure fingerprint differs from the
 plan's raises :class:`~repro.errors.PlanMismatchError`.
@@ -69,7 +71,7 @@ from ..observe import Observation
 from ..observe import session as observe_session
 from ..resilience.cancel import CancelToken
 from ..resilience.degrade import DegradationState
-from ..resilience.faults import fire_hooks, task_scope
+from ..resilience.faults import active_plan, fire_hooks, task_scope
 from ..resilience.guard import reference_tile_product, validate_tile
 from ..resilience.report import FailureReport, aggregate_message
 from ..resilience.retry import ResilientPairRunner, RetryPolicy
@@ -449,6 +451,22 @@ class PairComputer:
             )
 
 
+def runs_compiled(options: MultiplyOptions, at_c: ATMatrix | None) -> bool:
+    """Whether a sequential run may replay a plan's compiled program.
+
+    The program has no retry, journal, C seed or fault hook, so only a
+    plain run qualifies: no ``at_c``, no resilience policy, no
+    checkpoint and no active fault plan.  Every other run replays
+    through :class:`PairComputer`.
+    """
+    return (
+        at_c is None
+        and options.resilience is None
+        and options.checkpoint is None
+        and active_plan() is None
+    )
+
+
 def execute_plan(
     plan: ExecutionPlan,
     at_a: ATMatrix,
@@ -472,7 +490,10 @@ def execute_plan(
     simulated socket) and returns a :class:`ParallelReport`; the process
     backend hands the whole run to
     :func:`repro.resilience.supervisor.run_supervised`.  ``at_c``
-    seeding is sequential-only.
+    seeding is sequential-only.  A sequential run of a plan that
+    carries a compiled ``n x 1`` program (:mod:`repro.engine.replay`)
+    runs that program instead of the pair loop when
+    :func:`runs_compiled` allows it; its report carries no task records.
 
     With ``options.checkpoint``, pairs already present in its journal
     are restored instead of re-executed (counted as
@@ -526,6 +547,15 @@ def execute_plan(
         report = MultiplyReport(observation=obs)
         report.write_threshold = plan.write_threshold
         report.water_level = plan.water_level
+        if plan.program is not None and runs_compiled(options, at_c):
+            if cancel is not None:
+                cancel.check()
+            start = time.perf_counter()
+            tiles = plan.program.run(at_a, at_b, obs)
+            report.add_phase(PHASE_MULTIPLY, time.perf_counter() - start)
+            report.merge_kernel_counts(plan.program.kernel_counts)
+            report.pairs_executed = len(plan.pairs)
+            return finish_run(plan, tiles, report, config=config, obs=obs), report
 
     busy_lock = threading.Lock()
 

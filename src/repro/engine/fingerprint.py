@@ -138,7 +138,15 @@ def config_fingerprint(options: MultiplyOptions) -> str:
     flags — plus the kernel revision.  Every cache key and every plan's
     ``setup_key`` comes from here, so a field added to planning is added
     to all of them at once.
+
+    The key is memoized on the options instance: the options are frozen,
+    and so are the config and the cost model's coefficients and
+    thresholds, so an iterative caller hashes its setup once, not once
+    per product.
     """
+    cached: str | None = getattr(options, "_setup_key", None)
+    if cached is not None:
+        return cached
     config = options.resolved_config()
     cost_model = options.resolved_cost_model()
     parts = [
@@ -159,4 +167,6 @@ def config_fingerprint(options: MultiplyOptions) -> str:
     parts.extend(
         f"{name}={value!r}" for name, value in sorted(vars(coefficients).items())
     )
-    return _digest("|".join(parts).encode())
+    key = _digest("|".join(parts).encode())
+    object.__setattr__(options, "_setup_key", key)  # frozen: memo only
+    return key

@@ -45,6 +45,7 @@ from .options import MultiplyOptions
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.chain import ChainPlan
     from ..core.operands import MatrixOperand
+    from .replay import ReplayProgram
 
 _span = observe_session.tracer_span
 
@@ -119,6 +120,9 @@ class ExecutionPlan:
     estimate_seconds: float = 0.0
     optimize_seconds: float = 0.0
     decisions: int = 0
+    #: the compiled ``n x 1`` replay, attached when the plan is cached
+    #: (:func:`repro.engine.replay.lower_matvec`; ``None`` otherwise)
+    program: ReplayProgram | None = field(default=None, repr=False, compare=False)
     _memory_bytes: int = field(default=0, repr=False)
 
     @property
@@ -152,6 +156,8 @@ class ExecutionPlan:
         )
         if self.estimate is not None:
             total += int(self.estimate.grid.nbytes) + 128
+        if self.program is not None:
+            total += self.program.nbytes
         self._memory_bytes = total
         return total
 

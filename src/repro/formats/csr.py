@@ -169,7 +169,10 @@ class CSRMatrix:
         """
         if self._keys is None:
             rows = np.repeat(np.arange(self.rows, dtype=np.int64), self.row_nnz())
-            self._keys = rows * np.int64(self.cols) + self.indices
+            # Published by one assignment of a finished array, and every
+            # racing thread computes the same keys: a race costs a
+            # duplicate computation, never a torn read.
+            self._keys = rows * np.int64(self.cols) + self.indices  # repro-lint: disable=RPR012
         return self._keys
 
     def window_ranges(

@@ -25,6 +25,7 @@ from .._types import FloatArray, IndexArray
 from ..errors import ShapeError
 from ..formats.csr import CSRMatrix, _segment_gather_indices
 from ..formats.dense import DenseMatrix
+from .spmv import row_sum
 from .window import Window
 
 #: Expansion buffer budget (elements) for chunked products.
@@ -80,29 +81,39 @@ def _csr_row_ranges(
     return matrix.window_ranges(window.row0, window.row1, window.col0, window.col1)
 
 
-def _csr_window_triples(matrix: CSRMatrix, window: Window) -> Triples:
-    """Window-relative triples of a CSR operand, row-major order.
+def csr_window_source(
+    matrix: CSRMatrix, window: Window
+) -> tuple[IndexArray, IndexArray, slice | IndexArray]:
+    """Window-relative rows and columns of a CSR window, row-major order,
+    plus where its values sit in ``matrix.values``.
 
-    A full-width window is one contiguous storage slice (returned as
-    views, no search and no gather); a narrower one resolves its
-    per-row column ranges by binary search and gathers the segments.
+    A full-width window is one contiguous storage slice (columns as a
+    view and a ``slice`` source, no search and no gather); a narrower
+    one resolves its per-row column ranges by binary search and gathers
+    the segments (an index-array source).  The source depends only on
+    the structure, so a compiled replay stores it and reads the values
+    live.
     """
     window.validate_within(matrix.shape)
     if window.col0 == 0 and window.col1 == matrix.cols:
         bounds = matrix.indptr[window.row0 : window.row1 + 1]
         start, end = int(bounds[0]), int(bounds[-1])
         if start == end:
-            return _empty_triples()
+            rows, cols, _ = _empty_triples()
+            return rows, cols, slice(0, 0)
         rows = np.repeat(np.arange(window.rows, dtype=np.int64), np.diff(bounds))
-        return rows, matrix.indices[start:end], matrix.values[start:end]
+        return rows, matrix.indices[start:end], slice(start, end)
     lo, hi = _csr_row_ranges(matrix, window)
     lengths = hi - lo
-    total = int(lengths.sum())
-    if not total:
-        return _empty_triples()
     take = _segment_gather_indices(lo, lengths)
     rows = np.repeat(np.arange(window.rows, dtype=np.int64), lengths)
-    return rows, matrix.indices[take] - window.col0, matrix.values[take]
+    return rows, matrix.indices[take] - window.col0, take
+
+
+def _csr_window_triples(matrix: CSRMatrix, window: Window) -> Triples:
+    """Window-relative triples of a CSR operand, row-major order."""
+    rows, cols, source = csr_window_source(matrix, window)
+    return rows, cols, matrix.values[source]
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +188,20 @@ def spd_dense(a: CSRMatrix, wa: Window, b: DenseMatrix, wb: Window) -> FloatArra
 
     For every non-zero ``A[i,k]`` the dense row ``B[k,:]`` is scaled and
     added into output row ``i``; rows are merged with a segmented
-    reduction instead of a scatter.
+    reduction instead of a scatter.  A one-column ``B`` window (a
+    matvec) sums each row sequentially through the shared
+    :func:`~repro.kernels.spmv.row_sum`, unchunked: its weights are one
+    float per stored element of the window, no more than the window
+    itself holds.
     """
     _check_inner(wa, wb)
     b_view = b.window_view(wb.row0, wb.row1, wb.col0, wb.col1)
     out = np.zeros((wa.rows, wb.cols), dtype=np.float64)
     a_rows, a_cols, a_vals = _csr_window_triples(a, wa)
     if not len(a_vals):
+        return out
+    if wb.cols == 1:
+        out[:, 0] = row_sum(a_rows, a_vals, b_view[:, 0], a_cols, wa.rows)
         return out
     chunk = max(1, EXPANSION_CHUNK // max(1, wb.cols))
     for start in range(0, len(a_vals), chunk):
@@ -265,6 +283,7 @@ def dd_triples(a: DenseMatrix, wa: Window, b: DenseMatrix, wb: Window) -> Triple
 __all__ = [
     "EXPANSION_CHUNK",
     "compress_triples",
+    "csr_window_source",
     "spsp_expansion",
     "spsp_triples",
     "spsp_flops",

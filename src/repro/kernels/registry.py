@@ -31,8 +31,10 @@ Operand = CSRMatrix | DenseMatrix
 #: fingerprint, so a cached plan or checkpoint journal is only replayed by
 #: the kernels that produced it; bump it whenever a kernel change can alter
 #: result bits.  2: sparse x sparse scatters its raw expansion into dense
-#: targets (1 sorted and compressed it first).
-KERNEL_REVISION = 2
+#: targets (1 sorted and compressed it first).  3: sparse x dense on a
+#: one-column window sums each row sequentially
+#: (:func:`~repro.kernels.spmv.row_sum`; 2 used a segmented reduceat).
+KERNEL_REVISION = 3
 
 
 class Kernel(Protocol):

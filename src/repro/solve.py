@@ -7,17 +7,20 @@ CSR or dense); the operand is wrapped **once** before the iteration loop
 defeated plan reuse — and every iteration benefits from the
 heterogeneous tile storage (dense regions go through BLAS gemv).
 
-Two execution paths:
+Matrix-vector products take one of two routes.  Both sum every row
+through :func:`~repro.kernels.spmv.row_sum`, so they return the same
+bits whenever the engine adds the tiles' contributions in
+:func:`~repro.core.atmv.atmv`'s order (see there):
 
-* plain (default): matrix-vector products run through the light
-  :func:`~repro.core.atmv.atmv` tile loop;
+* plain (default): the light :func:`~repro.core.atmv.atmv` tile loop;
 * engine (``options=``, which :meth:`repro.Session.solve` passes):
   every product is ``atmult(A, x, options=options)`` with the vector as
   a dense ``n x 1`` operand.  With a plan cache attached (a
   :class:`~repro.Session` always has one), the first product builds the
-  single ``A @ x`` plan and every later one is a cache hit that replays
-  it: dense topology is shape plus quantized density, so a solve's
-  fully populated iterates all share one plan key.
+  single ``A @ x`` plan and every later one is a cache hit: dense
+  topology is shape plus quantized density, so a solve's fully
+  populated iterates all share one plan key, and the cached plan runs
+  as its compiled replay program (:mod:`repro.engine.replay`).
 
 Provided methods:
 
@@ -90,7 +93,8 @@ def _matvec_driver(
     options the product is the plain :func:`atmv` tile loop; with
     options every product is :func:`~repro.core.atmult.atmult` of the
     wrapped matrix and the iterate as a dense ``n x 1`` column — the
-    same call :meth:`repro.Session.matvec` makes.
+    same call :meth:`repro.Session.matvec` makes.  Both sum rows through
+    the same primitive (see the module docstring).
     """
     if options is None:
         at = as_at_matrix(matrix, DEFAULT_CONFIG)

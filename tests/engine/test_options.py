@@ -18,6 +18,7 @@ from repro import (
     multiply_chain,
     parallel_atmult,
 )
+from repro.engine.fingerprint import config_fingerprint
 from repro.topology import SystemTopology
 
 from ..conftest import heterogeneous_array
@@ -85,3 +86,32 @@ class TestOneConsolidatedWarning:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             atmult(matrix, matrix, options=MultiplyOptions(config=small_config))
+
+
+class TestSetupKeyMemo:
+    """The setup key is hashed once per frozen options instance."""
+
+    def test_memoized_key_equals_a_fresh_computation(self, small_config):
+        options = MultiplyOptions(
+            config=small_config,
+            cost_model=CostModel(write_threshold=0.1),
+            memory_limit_bytes=1e6,
+        )
+        first = config_fingerprint(options)
+        assert config_fingerprint(options) is first  # served from the memo
+        assert first == config_fingerprint(options.replace())  # a fresh instance
+        assert first != config_fingerprint(options.replace(use_estimation=False))
+
+    def test_memo_is_invisible_to_equality(self, small_config):
+        options = MultiplyOptions(config=small_config)
+        config_fingerprint(options)
+        assert options == MultiplyOptions(config=small_config)
+        assert hash(options) == hash(MultiplyOptions(config=small_config))
+
+    @pytest.mark.parametrize(
+        "field", ["coefficients", "read_threshold", "write_threshold"]
+    )
+    def test_cost_model_fields_are_read_only(self, field):
+        model = CostModel()
+        with pytest.raises(AttributeError):
+            setattr(model, field, getattr(model, field))

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import COOMatrix
-from repro.cli import main
+from repro import COOMatrix, MultiplyOptions
+from repro.cli import build_parser, main
 from repro.formats.matrix_market import read_matrix_market, write_matrix_market
 
 from .conftest import heterogeneous_array, rewrite_archive
@@ -186,6 +186,21 @@ class TestExecutionFlags:
         )
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestEngineFlagDefaults:
+    """The engine flags default to the library's MultiplyOptions fields."""
+
+    def test_multiply_defaults_match_multiply_options(self):
+        args = build_parser().parse_args(["multiply", "a.mtx", "b.mtx"])
+        defaults = MultiplyOptions()
+        assert args.checkpoint_flush == defaults.checkpoint_flush_pairs
+        assert args.heartbeat_interval == defaults.heartbeat_interval_seconds
+        assert args.startup_grace == defaults.startup_grace_seconds
+
+    def test_serve_defaults_match_multiply_options(self):
+        args = build_parser().parse_args(["serve", "--job-dir", "jobs"])
+        assert args.startup_grace == MultiplyOptions().startup_grace_seconds
 
 
 class TestCheckpointFlags:
